@@ -4,16 +4,6 @@
 
 namespace dfault {
 
-namespace {
-
-constexpr std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t seed)
 {
     std::uint64_t s = seed;
@@ -21,33 +11,10 @@ Rng::Rng(std::uint64_t seed)
         word = splitMix64(s);
 }
 
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
 Rng
 Rng::fork(std::uint64_t key)
 {
     return Rng(hashCombine(next(), key));
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double

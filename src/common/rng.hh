@@ -120,7 +120,36 @@ class Rng
     std::array<std::uint64_t, 4> state_;
     double cachedNormal_ = 0.0;
     bool hasCachedNormal_ = false;
+
+    static constexpr std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
 };
+
+inline std::uint64_t
+Rng::next()
+{
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+
+    return result;
+}
+
+inline double
+Rng::uniform()
+{
+    // 53 random mantissa bits -> double in [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
 
 } // namespace dfault
 

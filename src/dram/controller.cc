@@ -23,13 +23,16 @@ RowActivity::touchedWords() const
 }
 
 void
-RowActivity::touchColumn(std::uint32_t column)
+RowActivity::touchLine(std::uint32_t column)
 {
-    const std::uint32_t folded = column & 127u;
+    // The line's first word, folded mod 128, is a multiple of 8, so
+    // all eight words land in the same half of the bitmap.
+    const std::uint32_t folded = column & 120u;
+    const std::uint64_t line_mask = 0xffULL << (folded & 63u);
     if (folded < 64)
-        wordMaskLo |= (1ULL << folded);
+        wordMaskLo |= line_mask;
     else
-        wordMaskHi |= (1ULL << (folded - 64));
+        wordMaskHi |= line_mask;
 }
 
 Mcu::Mcu(const Geometry &geometry, int channel)
@@ -97,9 +100,7 @@ Mcu::access(const WordCoord &coord, bool is_write, Cycles cycle)
     ++row.accesses;
     // A CAS transfers the full 64 B line: all eight words of the line
     // hold application data and count as touched.
-    const std::uint32_t line_base = coord.column & ~7u;
-    for (std::uint32_t w = 0; w < 8; ++w)
-        row.touchColumn(line_base + w);
+    row.touchLine(coord.column);
 
     return latency;
 }

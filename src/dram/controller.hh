@@ -48,8 +48,11 @@ struct RowActivity
     /** Distinct columns touched (exact for <=128 words/row). */
     int touchedWords() const;
 
-    /** Record a column touch. */
-    void touchColumn(std::uint32_t column);
+    /**
+     * Record a CAS to the 64 B line holding @p column: its eight
+     * words count as touched.
+     */
+    void touchLine(std::uint32_t column);
 };
 
 /** Aggregate MCU counters (exported as program features). */

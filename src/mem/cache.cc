@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -28,24 +29,23 @@ Cache::Cache(const Params &params) : params_(params)
     if (!std::has_single_bit(sets_))
         DFAULT_FATAL("cache: set count must be a power of two, got ", sets_);
     lineShift_ = std::countr_zero(params_.lineBytes);
-    lines_.resize(lines);
-}
-
-std::uint64_t
-Cache::lineNumber(Addr addr) const
-{
-    return addr >> lineShift_;
+    setShift_ = std::countr_zero(sets_);
+    tags_.resize(lines);
+    stamps_.resize(lines);
+    dirty_.resize(lines);
 }
 
 CacheAccessResult
 Cache::access(Addr addr, bool is_write)
 {
-    const std::uint64_t line_no = lineNumber(addr);
+    const std::uint64_t line_no = addr >> lineShift_;
     const std::uint32_t set = static_cast<std::uint32_t>(line_no) &
                               (sets_ - 1);
-    const std::uint64_t tag = line_no >> std::countr_zero(sets_);
-
-    Line *base = &lines_[static_cast<std::size_t>(set) * params_.ways];
+    const std::uint64_t key = (line_no >> setShift_) + 1;
+    const std::size_t base = static_cast<std::size_t>(set) * params_.ways;
+    std::uint64_t *tags = &tags_[base];
+    std::uint64_t *stamps = &stamps_[base];
+    std::uint8_t *dirty = &dirty_[base];
 
     if (is_write)
         ++counters_.writeAccesses;
@@ -56,51 +56,49 @@ Cache::access(Addr addr, bool is_write)
 
     // Hit path.
     for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lruStamp = lruClock_;
-            line.dirty |= is_write;
+        if (tags[w] == key) {
+            stamps[w] = lruClock_;
+            dirty[w] |= static_cast<std::uint8_t>(is_write);
             return CacheAccessResult{true, std::nullopt};
         }
     }
 
-    // Miss: pick invalid way or the LRU victim.
+    // Miss: pick the first invalid way, else the LRU victim.
     if (is_write)
         ++counters_.writeMisses;
     else
         ++counters_.readMisses;
 
-    Line *victim = base;
+    std::uint32_t victim = 0;
     for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Line &line = base[w];
-        if (!line.valid) {
-            victim = &line;
+        if (tags[w] == 0) {
+            victim = w;
             break;
         }
-        if (line.lruStamp < victim->lruStamp)
-            victim = &line;
+        if (stamps[w] < stamps[victim])
+            victim = w;
     }
 
     CacheAccessResult result{false, std::nullopt};
-    if (victim->valid && victim->dirty) {
+    if (tags[victim] != 0 && dirty[victim]) {
         ++counters_.writebacks;
         const std::uint64_t victim_line =
-            (victim->tag << std::countr_zero(sets_)) | set;
+            ((tags[victim] - 1) << setShift_) | set;
         result.writebackAddr = victim_line << lineShift_;
     }
 
-    victim->tag = tag;
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->lruStamp = lruClock_;
+    tags[victim] = key;
+    stamps[victim] = lruClock_;
+    dirty[victim] = static_cast<std::uint8_t>(is_write);
     return result;
 }
 
 void
 Cache::flush()
 {
-    for (auto &line : lines_)
-        line = Line{};
+    std::fill(tags_.begin(), tags_.end(), 0);
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
     lruClock_ = 0;
 }
 

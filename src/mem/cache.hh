@@ -77,22 +77,16 @@ class Cache
     std::uint32_t sets() const { return sets_; }
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lruStamp = 0;
-    };
-
     Params params_;
     std::uint32_t sets_;
     int lineShift_;
-    std::vector<Line> lines_; ///< sets_ * ways, set-major.
+    int setShift_; ///< log2(sets_): line number -> tag
+    // Set-major structure of arrays, sets_ * ways entries each.
+    std::vector<std::uint64_t> tags_;   ///< tag + 1; 0 = invalid way
+    std::vector<std::uint64_t> stamps_; ///< LRU stamp of the last touch
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t lruClock_ = 0;
     CacheCounters counters_;
-
-    std::uint64_t lineNumber(Addr addr) const;
 };
 
 } // namespace dfault::mem

@@ -6,6 +6,8 @@
 #include <optional>
 #include <string>
 
+#include <pthread.h>
+
 #include "common/logging.hh"
 #include "fi/injector.hh"
 #include "obs/events.hh"
@@ -47,6 +49,25 @@ thread_local int t_taskDepth = 0;
 
 std::mutex g_globalMutex;
 std::unique_ptr<Pool> g_globalPool;
+
+/**
+ * fork() copies only the calling thread, so a child must never join or
+ * signal the parent's workers: when it exits, destroying the inherited
+ * global pool would block on threads that do not exist in it. The
+ * child handler abandons that pool instead (kept reachable here, not
+ * leaked), and a later global() in the child builds a fresh one.
+ * Holding g_globalMutex across fork() keeps the child from inheriting
+ * it locked by a thread it does not have.
+ */
+Pool *g_abandonedPool = nullptr;
+
+const int g_forkHandlers = pthread_atfork(
+    [] { g_globalMutex.lock(); }, [] { g_globalMutex.unlock(); },
+    [] {
+        if (g_globalPool)
+            g_abandonedPool = g_globalPool.release();
+        g_globalMutex.unlock();
+    });
 
 /**
  * Live telemetry mirrors for the sampler: process-wide tallies of

@@ -1,31 +1,8 @@
 #include "stats/entropy.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace dfault::stats {
-
-double
-shannonEntropy(
-    const std::unordered_map<std::uint32_t, std::uint64_t> &counts)
-{
-    std::uint64_t total = 0;
-    for (const auto &kv : counts)
-        total += kv.second;
-    if (total == 0)
-        return 0.0;
-
-    double h = 0.0;
-    const double totald = static_cast<double>(total);
-    for (const auto &kv : counts) {
-        if (kv.second == 0)
-            continue;
-        const double p = static_cast<double>(kv.second) / totald;
-        h -= p * std::log2(p);
-    }
-    return h;
-}
 
 double
 shannonEntropy(std::span<const double> probabilities)

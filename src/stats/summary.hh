@@ -6,6 +6,7 @@
 #ifndef DFAULT_STATS_SUMMARY_HH
 #define DFAULT_STATS_SUMMARY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -57,6 +58,17 @@ class RunningStats
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
 };
+
+inline void
+RunningStats::add(double x)
+{
+    ++count_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+}
 
 /**
  * Quantile of a sample using linear interpolation between order

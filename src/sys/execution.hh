@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/units.hh"
 #include "mem/hierarchy.hh"
 #include "trace/access.hh"
@@ -154,6 +155,67 @@ class ExecutionContext
                       std::uint64_t value);
     CoreStats &core(int thread);
 };
+
+// The per-access path is defined here so workloads inline it.
+
+inline CoreStats &
+ExecutionContext::core(int thread)
+{
+    DFAULT_ASSERT(thread >= 0 && thread < params_.threads,
+                  "thread id out of range");
+    return cores_[thread];
+}
+
+inline void
+ExecutionContext::memoryAccess(int thread, Addr addr, bool is_write,
+                               std::uint64_t value)
+{
+    CoreStats &c = core(thread);
+
+    bus_.publish(trace::AccessEvent{thread, addr, is_write, value,
+                                    globalInstr_});
+    ++globalInstr_;
+    ++c.instructions;
+    if (is_write)
+        ++c.stores;
+    else
+        ++c.loads;
+
+    const int core_id = thread % hierarchy_.cores();
+    const Cycles latency =
+        hierarchy_.access(core_id, addr, is_write, c.cycles);
+
+    // One issue cycle plus the exposed (MLP-discounted) stall.
+    const auto stall = static_cast<Cycles>(
+        static_cast<double>(latency > 1 ? latency - 1 : 0) /
+        params_.memoryLevelParallelism);
+    c.cycles += 1 + stall;
+    c.waitCycles += stall;
+}
+
+inline std::uint64_t
+ExecutionContext::load(int thread, Addr addr)
+{
+    memoryAccess(thread, addr, /*is_write=*/false, 0);
+    return peek(addr);
+}
+
+inline void
+ExecutionContext::store(int thread, Addr addr, std::uint64_t value)
+{
+    memoryAccess(thread, addr, /*is_write=*/true, value);
+    const std::uint64_t word = addr / units::bytesPerWord;
+    DFAULT_ASSERT(word < backing_.size(), "store beyond allocated memory");
+    backing_[word] = value;
+}
+
+inline std::uint64_t
+ExecutionContext::peek(Addr addr) const
+{
+    const std::uint64_t word = addr / units::bytesPerWord;
+    DFAULT_ASSERT(word < backing_.size(), "load beyond allocated memory");
+    return backing_[word];
+}
 
 } // namespace dfault::sys
 

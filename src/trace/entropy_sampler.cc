@@ -15,13 +15,33 @@ EntropySampler::EntropySampler(const Params &params) : params_(params)
     reservoir_.reserve(params_.reservoirSize);
 }
 
+void *
+EntropySampler::NodeArena::do_allocate(std::size_t bytes, std::size_t align)
+{
+    if (bytes <= kNodeBytes)
+        return nodes_.allocate(bytes, align);
+    return std::pmr::new_delete_resource()->allocate(bytes, align);
+}
+
+void
+EntropySampler::NodeArena::do_deallocate(void *p, std::size_t bytes,
+                                         std::size_t align)
+{
+    if (bytes > kNodeBytes)
+        std::pmr::new_delete_resource()->deallocate(p, bytes, align);
+}
+
 void
 EntropySampler::onAccess(const AccessEvent &event)
 {
     if (!event.isWrite)
         return;
-    if (storeCounter_++ % params_.stride != 0)
+    // Samples stores 0, stride, 2 * stride, ...
+    if (skip_ != 0) {
+        --skip_;
         return;
+    }
+    skip_ = params_.stride - 1;
     ++sampled_;
 
     // Histogram the two 32-bit halves (Eq. 5 is defined over 32-bit
@@ -33,12 +53,15 @@ EntropySampler::onAccess(const AccessEvent &event)
     for (const std::uint32_t half : {lo, hi}) {
         if (!saturated_) {
             ++counts_[half];
+            ++counted_;
             if (counts_.size() >= params_.maxDistinct)
                 saturated_ = true;
         } else {
             auto it = counts_.find(half);
-            if (it != counts_.end())
+            if (it != counts_.end()) {
                 ++it->second;
+                ++counted_;
+            }
         }
     }
 
@@ -57,7 +80,7 @@ EntropySampler::onAccess(const AccessEvent &event)
 double
 EntropySampler::entropyBits() const
 {
-    return stats::shannonEntropy(counts_);
+    return stats::shannonEntropy(counts_, counted_);
 }
 
 std::array<double, 64>
@@ -75,10 +98,14 @@ EntropySampler::bitOneProbabilities() const
 void
 EntropySampler::reset()
 {
-    storeCounter_ = 0;
+    skip_ = 0;
     sampled_ = 0;
+    counted_ = 0;
     saturated_ = false;
-    counts_.clear();
+    // A fresh table, not clear(): clear() keeps the grown bucket array,
+    // and with it an iteration order a new sampler would not have.
+    counts_ = Counts(&arena_);
+    arena_.release();
     reservoir_.clear();
     reservoirSeen_ = 0;
 }

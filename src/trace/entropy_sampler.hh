@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory_resource>
 #include <unordered_map>
 #include <vector>
 
@@ -41,6 +42,10 @@ class EntropySampler : public AccessSink
     EntropySampler();
     explicit EntropySampler(const Params &params);
 
+    /** The histogram allocates from a member arena: not copyable. */
+    EntropySampler(const EntropySampler &) = delete;
+    EntropySampler &operator=(const EntropySampler &) = delete;
+
     void onAccess(const AccessEvent &event) override;
 
     /** Estimated data-pattern entropy in bits (0..32). */
@@ -55,15 +60,50 @@ class EntropySampler : public AccessSink
      */
     std::array<double, 64> bitOneProbabilities() const;
 
-    /** Forget all state. */
+    /** Forget all state: behaves like a newly constructed sampler. */
     void reset();
 
   private:
+    /**
+     * Memory for the histogram. Blocks of at most kNodeBytes (the
+     * map's nodes) are bump-allocated and freed all at once; larger
+     * blocks (its bucket arrays) come from the heap and go back on
+     * every rehash, so no stale bucket array stays resident.
+     */
+    class NodeArena final : public std::pmr::memory_resource
+    {
+      public:
+        /** Free every node block. @pre no node is live. */
+        void release() { nodes_.release(); }
+
+      private:
+        static constexpr std::size_t kNodeBytes = 64;
+        std::pmr::monotonic_buffer_resource nodes_;
+
+        void *do_allocate(std::size_t bytes, std::size_t align) override;
+        void do_deallocate(void *p, std::size_t bytes,
+                           std::size_t align) override;
+        bool do_is_equal(
+            const std::pmr::memory_resource &other) const noexcept override
+        {
+            return this == &other;
+        }
+    };
+
     Params params_;
-    std::uint64_t storeCounter_ = 0;
+    /** Stores to skip before the next sampled one. */
+    std::uint64_t skip_ = 0;
     std::uint64_t sampled_ = 0;
+    /** Sum of the histogram's counts, so HDP walks the table once. */
+    std::uint64_t counted_ = 0;
     bool saturated_ = false;
-    std::unordered_map<std::uint32_t, std::uint64_t> counts_;
+    // Default hash, equality and rehash policy and no reserve(): HDP
+    // sums in this map's iteration order, so its bucket layout has to
+    // match a plain std::unordered_map fed the same values (the
+    // golden profiles depend on it). Only the allocator differs.
+    using Counts = std::pmr::unordered_map<std::uint32_t, std::uint64_t>;
+    NodeArena arena_;
+    Counts counts_{&arena_};
     std::vector<std::uint64_t> reservoir_;
     std::uint64_t reservoirSeen_ = 0;
 };

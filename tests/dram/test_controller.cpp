@@ -138,14 +138,18 @@ TEST(McuDeath, WrongChannelPanics)
                  "wrong MCU");
 }
 
-TEST(RowActivity, TouchColumnFoldsBeyond128)
+TEST(RowActivity, TouchLineFoldsBeyond128)
 {
     RowActivity row;
-    row.touchColumn(0);
-    row.touchColumn(128); // folds onto column 0
-    EXPECT_EQ(row.touchedWords(), 1);
-    row.touchColumn(127);
-    EXPECT_EQ(row.touchedWords(), 2); // touchColumn marks single words
+    row.touchLine(0);
+    row.touchLine(133); // line 128..135 folds onto line 0..7
+    EXPECT_EQ(row.touchedWords(), 8);
+    row.touchLine(127); // line 120..127: the high half's last byte
+    EXPECT_EQ(row.touchedWords(), 16);
+    EXPECT_EQ(row.wordMaskLo, 0xffULL);
+    EXPECT_EQ(row.wordMaskHi, 0xffULL << 56);
+    row.touchLine(64 + 3); // line 64..71: the high half's first byte
+    EXPECT_EQ(row.wordMaskHi, (0xffULL << 56) | 0xffULL);
 }
 
 } // namespace

@@ -5,7 +5,9 @@
  *
  * The oracle tracks per-set LRU order and dirty bits with plain
  * std::vector bookkeeping; every hit/miss decision and every writeback
- * address of the production cache must match it exactly.
+ * address of the production cache must match it exactly, including
+ * across flush() and for tag-0 lines (the production cache stores
+ * tag + 1 so that 0 can mark an invalid way).
  */
 
 #include <gtest/gtest.h>
@@ -62,6 +64,13 @@ class OracleCache
         return result;
     }
 
+    void
+    flush()
+    {
+        for (auto &entries : sets_state_)
+            entries.clear();
+    }
+
   private:
     struct Entry
     {
@@ -80,6 +89,10 @@ struct OracleCase
     std::uint64_t size;
     std::uint32_t ways;
     std::uint64_t addr_space;
+    /** Flush both caches after every this many accesses; 0 = never. */
+    int flush_every = 0;
+    /** Share of accesses aimed at tag-0 lines (line 0 included). */
+    double tag0_share = 0.0;
 };
 
 class CacheOracleTest : public ::testing::TestWithParam<OracleCase>
@@ -97,8 +110,17 @@ TEST_P(CacheOracleTest, MatchesReferenceOverRandomTraffic)
     OracleCache oracle(param.size, 64, param.ways);
 
     Rng rng(param.size ^ param.ways);
+    const std::uint64_t tag0_bytes = param.size / param.ways;
     for (int i = 0; i < 50000; ++i) {
-        const Addr addr = rng.uniformInt(param.addr_space / 8) * 8;
+        if (param.flush_every > 0 && i % param.flush_every == 0) {
+            cache.flush();
+            oracle.flush();
+        }
+        const std::uint64_t space =
+            param.tag0_share > 0.0 && rng.bernoulli(param.tag0_share)
+                ? tag0_bytes
+                : param.addr_space;
+        const Addr addr = rng.uniformInt(space / 8) * 8;
         const bool is_write = rng.bernoulli(0.3);
         const auto got = cache.access(addr, is_write);
         const auto want = oracle.access(addr, is_write);
@@ -106,9 +128,10 @@ TEST_P(CacheOracleTest, MatchesReferenceOverRandomTraffic)
         ASSERT_EQ(got.writebackAddr.has_value(),
                   want.writebackAddr.has_value())
             << "access " << i;
-        if (got.writebackAddr)
+        if (got.writebackAddr) {
             ASSERT_EQ(*got.writebackAddr, *want.writebackAddr)
                 << "access " << i;
+        }
     }
 }
 
@@ -118,10 +141,16 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleCase{2048, 2, 16384},   // small 2-way
                       OracleCase{8192, 8, 65536},   // L1-ish
                       OracleCase{32768, 4, 32768},  // low pressure
-                      OracleCase{4096, 64, 65536}), // fully associative
+                      OracleCase{4096, 64, 65536},  // fully associative
+                      OracleCase{8192, 8, 65536, 997},
+                      OracleCase{1024, 1, 16384, 0, 0.5},
+                      OracleCase{2048, 2, 16384, 501, 0.5},
+                      OracleCase{4096, 64, 65536, 0, 0.5}),
     [](const ::testing::TestParamInfo<OracleCase> &info) {
         return "size" + std::to_string(info.param.size) + "_ways" +
-               std::to_string(info.param.ways);
+               std::to_string(info.param.ways) +
+               (info.param.flush_every > 0 ? "_flush" : "") +
+               (info.param.tag0_share > 0.0 ? "_tag0" : "");
     });
 
 } // namespace

@@ -114,5 +114,18 @@ TEST(Pool, SetGlobalThreadsReplacesTheGlobalPool)
     EXPECT_EQ(Pool::global().threads(), 1);
 }
 
+TEST(PoolDeath, ForkedChildExitsWithoutJoiningParentWorkers)
+{
+    // A fork()ed child has none of the parent's worker threads. Its
+    // exit handlers must not destroy (join) the inherited global pool,
+    // or DFAULT_FATAL death tests hang or crash on multi-core hosts.
+    Pool::setGlobalThreads(4);
+    std::atomic<int> ran{0};
+    Pool::global().parallelFor(64, [&](std::size_t) { ++ran; });
+    ASSERT_EQ(ran.load(), 64);
+    EXPECT_EXIT(std::exit(3), ::testing::ExitedWithCode(3), "");
+    Pool::setGlobalThreads(1);
+}
+
 } // namespace
 } // namespace dfault::par

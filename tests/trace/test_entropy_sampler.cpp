@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hh"
+#include "stats/entropy.hh"
 #include "trace/entropy_sampler.hh"
 
 namespace dfault::trace {
@@ -110,6 +116,51 @@ TEST(EntropySampler, SaturationKeepsCountingKnownValues)
         s.onAccess(storeOf(1));
     EXPECT_GT(s.entropyBits(), 0.0);
     EXPECT_LE(s.entropyBits(), 32.0);
+}
+
+TEST(EntropySampler, SumsInPlainUnorderedMapOrder)
+{
+    // HDP sums its terms in hash-table iteration order. The sampler's
+    // histogram must keep exactly the layout a plain std::unordered_map
+    // gets from ++m[v] in the same order -- through rehashes and past
+    // saturation, before and after reset() -- or the last bits of HDP,
+    // and with them the golden profiles, drift.
+    EntropySampler::Params p;
+    p.stride = 3;
+    p.maxDistinct = 3000;
+    EntropySampler s(p);
+
+    std::unordered_map<std::uint32_t, std::uint64_t> want;
+    Rng rng(13);
+    std::uint64_t stores = 0;
+    std::vector<AccessEvent> stream;
+    for (int i = 0; i < 200000; ++i) {
+        AccessEvent e;
+        e.isWrite = rng.bernoulli(0.6);
+        // A skewed head of repeated words plus a long random tail.
+        e.value = rng.bernoulli(0.7) ? rng.uniformInt(64) * 0x9e3779b9ULL
+                                     : rng.next();
+        stream.push_back(e);
+        if (!e.isWrite || stores++ % p.stride != 0)
+            continue;
+        for (const auto half : {static_cast<std::uint32_t>(e.value),
+                                static_cast<std::uint32_t>(e.value >> 32)}) {
+            if (want.size() < p.maxDistinct)
+                ++want[half];
+            else if (auto it = want.find(half); it != want.end())
+                ++it->second;
+        }
+    }
+    ASSERT_EQ(want.size(), p.maxDistinct); // saturation was reached
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    const double expected = stats::shannonEntropy(want);
+
+    for (int round = 0; round < 2; ++round) {
+        for (const auto &e : stream)
+            s.onAccess(e);
+        EXPECT_EQ(bits(s.entropyBits()), bits(expected)) << "round " << round;
+        s.reset();
+    }
 }
 
 TEST(EntropySamplerDeath, ZeroStrideIsFatal)
