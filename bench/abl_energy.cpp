@@ -15,14 +15,14 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
     bench::banner("Energy study",
                   "per-rank DRAM power vs WER across the TREFP/VDD "
                   "grid (srad(par), 50C)");
 
-    const auto &wparams = harness.campaign().params().workload;
+    const auto &wparams = session.campaign().params().workload;
     const auto &profile = features::ProfileCache::instance().get(
-        harness.platform(), {"srad", 8, "srad(par)"}, wparams);
+        session.platform(), {"srad", 8, "srad(par)"}, wparams);
 
     // Average activity per rank from the profile.
     double act_rate = 0.0, cmd_rate = 0.0;
@@ -31,7 +31,7 @@ main(int argc, char **argv)
             act_rate += row.activationRate;
             cmd_rate += row.accessRate;
         }
-    const int ranks = harness.platform().geometry().deviceCount();
+    const int ranks = session.platform().geometry().deviceCount();
     act_rate /= ranks;
     cmd_rate /= ranks;
 
@@ -47,9 +47,9 @@ main(int argc, char **argv)
             const dram::OperatingPoint op{trefp, vdd, 50.0};
             const auto breakdown =
                 power.rankPower(op, act_rate, cmd_rate);
-            const auto run = harness.campaign().integrator().run(
-                profile, op, harness.platform().geometry(),
-                harness.platform().devices());
+            const auto run = session.campaign().integrator().run(
+                profile, op, session.platform().geometry(),
+                session.platform().devices());
             std::printf("%-10.3f %-8.3f %10.3f %10.3f %10.3f %10.3f"
                         " %8.3f%% %12.3e\n",
                         trefp, vdd, breakdown.background,

@@ -43,13 +43,13 @@ struct Observables
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
     bench::banner("Ablation",
                   "disable one mechanism, observe which paper claim "
                   "breaks (TREFP=2.283s, 60C)");
 
     core::ErrorIntegrator::Params base =
-        harness.campaign().params().integrator;
+        session.campaign().params().integrator;
 
     std::vector<Ablation> ablations;
     ablations.push_back({"full model", "-", base});
@@ -91,8 +91,8 @@ main(int argc, char **argv)
         {"srad", 8, "srad(par)"},
         {"random", 8, "random"},
     };
-    auto &platform = harness.platform();
-    const auto &wparams = harness.campaign().params().workload;
+    auto &platform = session.platform();
+    const auto &wparams = session.campaign().params().workload;
 
     std::printf("%-22s %10s %9s %10s %9s %9s  %s\n", "configuration",
                 "bp/random", "spread", "memc/max", "tail%", "runvar%",

@@ -28,9 +28,9 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
 
-    const auto measurements = harness.campaign().sweep(
+    const auto measurements = session.campaign().sweep(
         workloads::standardSuite(), core::werOperatingPoints());
     // Device 0's WER dataset on input set 1, log-space targets.
     auto data = core::makeWerDataset(measurements, 0,

@@ -21,7 +21,7 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
     bench::banner("Fig 2", "WER(t) for memcached / backprop / random at "
                            "TREFP=2.283s, 1.428V, 70C");
 
@@ -37,10 +37,10 @@ main(int argc, char **argv)
         // Pick the longest-surviving run of a few repeats, as the
         // paper's 2-hour series come from runs that completed.
         core::Measurement best =
-            harness.campaign().measure(config, op, 1);
+            session.campaign().measure(config, op, 1);
         for (std::uint64_t seed = 2; seed <= 5; ++seed) {
             core::Measurement m =
-                harness.campaign().measure(config, op, seed);
+                session.campaign().measure(config, op, seed);
             if (m.run.werSeries.size() > best.run.werSeries.size())
                 best = std::move(m);
         }

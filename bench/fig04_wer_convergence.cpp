@@ -13,7 +13,7 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
     bench::banner("Fig 4",
                   "WER(t) convergence for all benchmarks at "
                   "TREFP=2.283s, 1.428V, 50C");
@@ -24,18 +24,18 @@ main(int argc, char **argv)
     std::printf("%-14s %10s %10s %10s %10s %12s\n", "benchmark",
                 "30min", "60min", "90min", "120min", "last10min%");
 
-    // A sweep (not a measure() loop) so the harness's checkpoint/
+    // A sweep (not a measure() loop) so the session's checkpoint/
     // retry/quarantine machinery applies: fig04 doubles as the chaos
     // suite's kill-and-resume workload.
     std::vector<core::Measurement> measurements;
     try {
-        measurements = harness.campaign().sweep(suite, {op});
+        measurements = session.campaign().sweep(suite, {op});
     } catch (const par::CancelledError &e) {
-        // fail_fast=true only: returning lets the harness destructor
+        // fail_fast=true only: returning lets the session destructor
         // still write checkpoint-consistent partial artifacts.
         DFAULT_WARN("run cancelled: ", e.what(),
                     "; writing partial artifacts");
-        return bench::Harness::exitCode(1);
+        return core::RunSession::exitCode(1);
     }
 
     double worst_tail = 0.0;
@@ -74,5 +74,5 @@ main(int argc, char **argv)
     std::printf("worst last-10-minute change: %.2f%% "
                 "(paper: < 3%% at 50C)\n",
                 worst_tail);
-    return bench::Harness::exitCode();
+    return core::RunSession::exitCode();
 }

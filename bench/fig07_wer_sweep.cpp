@@ -19,7 +19,7 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
     const auto suite = workloads::standardSuite();
 
     const Seconds trefps[] = {0.618, 1.173, 1.727, 2.283};
@@ -35,7 +35,7 @@ main(int argc, char **argv)
 
     // One pooled sweep over the whole workload x operating-point grid
     // (bit-identical to measuring each cell serially).
-    const auto measurements = harness.campaign().sweep(suite, points);
+    const auto measurements = session.campaign().sweep(suite, points);
 
     std::map<std::string, std::map<std::string, core::Measurement>>
         table;

@@ -13,13 +13,13 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
     bench::banner("Fig 8",
                   "WER per DIMM/rank at TREFP=2.283s, 1.428V, 50C");
 
     const dram::OperatingPoint op{2.283, dram::kMinVdd, 50.0};
     const auto suite = workloads::standardSuite();
-    const auto &geometry = harness.platform().geometry();
+    const auto &geometry = session.platform().geometry();
 
     std::printf("%-14s", "benchmark");
     for (int d = 0; d < geometry.deviceCount(); ++d)
@@ -30,7 +30,7 @@ main(int argc, char **argv)
     std::string lo_where, hi_where;
     for (const auto &config : suite) {
         const core::Measurement m =
-            harness.campaign().measure(config, op);
+            session.campaign().measure(config, op);
         std::printf("%-14s", config.label.c_str());
         for (int d = 0; d < geometry.deviceCount(); ++d) {
             const double wer = m.run.werForDevice(d);
@@ -51,7 +51,7 @@ main(int argc, char **argv)
 
     bench::rule();
     std::printf("device retention scales (simulated hardware):\n ");
-    for (const auto &dev : harness.platform().devices())
+    for (const auto &dev : session.platform().devices())
         std::printf(" %s=%.2f", dev.id().label().c_str(),
                     dev.retentionScale());
     std::printf("\n");

@@ -19,14 +19,14 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
-    bench::banner("Fig 9a", "PUE per benchmark at 70C (VDD=1.428V), "
-                            "10 repeats each");
+    core::RunSession session(argc, argv);
+    const int repeats = bench::repeats(session.config());
+    bench::banner("Fig 9a", "PUE per benchmark at 70C (VDD=1.428V), " +
+                                std::to_string(repeats) + " repeats each");
 
     const auto suite = workloads::standardSuite();
     const auto points = core::pueOperatingPoints();
-    const int repeats = harness.repeats();
-    const auto &geometry = harness.platform().geometry();
+    const auto &geometry = session.platform().geometry();
 
     dram::ErrorLog log(geometry);
 
@@ -41,7 +41,7 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < points.size(); ++i) {
             int crashes = 0;
             for (int rep = 0; rep < repeats; ++rep) {
-                const core::Measurement m = harness.campaign().measure(
+                const core::Measurement m = session.campaign().measure(
                     config, points[i],
                     static_cast<std::uint64_t>(rep) + 1, &log);
                 crashes += m.run.crashed ? 1 : 0;

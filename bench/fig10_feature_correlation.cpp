@@ -19,14 +19,14 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
 
     // WER dataset: the TREFP x temperature grid that stays UE-free
     // (paper §VI-A), pooled across the 14 benchmarks; per-device
     // targets averaged into the aggregate WER as in the paper.
     const auto suite = workloads::standardSuite();
     const auto measurements =
-        harness.campaign().sweep(suite, core::werOperatingPoints());
+        session.campaign().sweep(suite, core::werOperatingPoints());
 
     ml::Dataset wer_data(
         features::FeatureCatalog::instance().names());
@@ -38,16 +38,16 @@ main(int argc, char **argv)
     }
 
     // PUE dataset: 70 C, the three UE-prone TREFP levels.
-    const int repeats = harness.repeats();
+    const int repeats = bench::repeats(session.config());
     ml::Dataset pue_data(
         features::FeatureCatalog::instance().names());
     for (const auto &config : suite) {
         for (const auto &op : core::pueOperatingPoints()) {
             const double pue =
-                harness.campaign().measurePue(config, op, repeats);
+                session.campaign().measurePue(config, op, repeats);
             const auto &profile = features::ProfileCache::instance().get(
-                harness.platform(), config,
-                harness.campaign().params().workload);
+                session.platform(), config,
+                session.campaign().params().workload);
             pue_data.addSample(profile.features.values(), pue,
                                config.label);
         }

@@ -22,7 +22,7 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
 
     bench::banner("Table III", "model input feature sets");
     for (const core::InputSet set : core::kAllInputSets) {
@@ -40,8 +40,8 @@ main(int argc, char **argv)
 
     const auto suite = workloads::standardSuite();
     const auto measurements =
-        harness.campaign().sweep(suite, core::werOperatingPoints());
-    const int devices = harness.platform().geometry().deviceCount();
+        session.campaign().sweep(suite, core::werOperatingPoints());
+    const int devices = session.platform().geometry().deviceCount();
 
     // evaluation[model][set][device]
     std::map<core::ModelKind,
@@ -59,7 +59,7 @@ main(int argc, char **argv)
         }
     }
 
-    const auto &geometry = harness.platform().geometry();
+    const auto &geometry = session.platform().geometry();
     for (const core::ModelKind kind : core::kAllModelKinds) {
         bench::banner("Fig 11a-c (" + core::modelKindName(kind) + ")",
                       "MPE of WER estimates per DIMM/rank, %");

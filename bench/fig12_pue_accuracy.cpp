@@ -16,22 +16,22 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
     bench::banner("Fig 12",
                   "MPE of PUE estimates (LOBO CV), % -- 70C, "
                   "TREFP in {1.450, 1.727, 2.283} s");
 
     const auto suite = workloads::standardSuite();
     const auto samples = core::collectPueSamples(
-        harness.campaign(), suite, core::pueOperatingPoints(),
-        harness.repeats());
+        session.campaign(), suite, core::pueOperatingPoints(),
+        bench::repeats(session.config()));
 
     std::printf("%-6s %12s %12s %12s\n", "model", "input set 1",
                 "input set 2", "input set 3");
     for (const core::ModelKind kind : core::kAllModelKinds) {
         std::printf("%-6s", core::modelKindName(kind).c_str());
         for (const core::InputSet set : core::kAllInputSets) {
-            const auto data = core::makePueDataset(harness.campaign(),
+            const auto data = core::makePueDataset(session.campaign(),
                                                    samples, set);
             const auto result =
                 core::evaluateModel(data, kind, /*log_target=*/false);

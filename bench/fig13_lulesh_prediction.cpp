@@ -22,20 +22,20 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
     bench::banner("Fig 13", "measured vs predicted WER for lulesh(O2), "
                             "lulesh(F) and the random micro-benchmark");
 
     // Train the model on the standard 14-benchmark campaign; lulesh is
     // NOT part of the training suite.
-    const auto measurements = harness.campaign().sweep(
+    const auto measurements = session.campaign().sweep(
         workloads::standardSuite(), core::werOperatingPoints());
     const auto model = core::DramErrorModel::trainWer(
-        measurements, harness.platform().geometry().deviceCount(),
+        measurements, session.platform().geometry().deviceCount(),
         core::DramErrorModel::Options{});
 
     const core::ConventionalModel conventional(
-        harness.campaign(), core::werOperatingPoints());
+        session.campaign(), core::werOperatingPoints());
 
     const dram::OperatingPoint op{0.618, dram::kMinVdd, 70.0};
 
@@ -49,7 +49,7 @@ main(int argc, char **argv)
 
     for (const auto &config : workloads::extendedSuite()) {
         const core::Measurement m =
-            harness.campaign().measure(config, op);
+            session.campaign().measure(config, op);
         const auto start = std::chrono::steady_clock::now();
         const double predicted =
             model.predictWerAggregate(*m.profile, op);

@@ -62,17 +62,14 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
     bench::banner("Fleet study (paper §VII)",
                   "relaxed-parameter WER as a predictive-maintenance "
                   "signal");
 
     const int servers = static_cast<int>(
-        harness.config().getInt("servers", 6));
-    const std::uint64_t footprint =
-        static_cast<std::uint64_t>(
-            harness.config().getInt("footprint_mib", 16))
-        << 20;
+        session.config().getInt("servers", 6));
+    const auto &wparams = session.campaign().params().workload;
 
     const dram::OperatingPoint relaxed{2.283, dram::kMinVdd, 60.0};
     const dram::OperatingPoint nominal{}; // 64 ms, 1.5 V, 50 C
@@ -91,13 +88,12 @@ main(int argc, char **argv)
     for (int server = 0; server < servers; ++server) {
         sys::Platform::Params pp;
         pp.devices.masterSeed = 0xf1ee7 + server;
-        pp.exec.timeDilation = sys::dilationForFootprint(footprint);
+        pp.exec.timeDilation =
+            sys::dilationForFootprint(wparams.footprintBytes);
         sys::Platform platform(pp);
 
         core::CharacterizationCampaign::Params cp;
-        cp.workload.footprintBytes = footprint;
-        cp.workload.workScale =
-            harness.config().getDouble("work_scale", 1.0);
+        cp.workload = wparams;
         cp.useThermalLoop = false;
         core::CharacterizationCampaign campaign(platform, cp);
 
@@ -155,14 +151,14 @@ main(int argc, char **argv)
 
     // ---- Phase two: online serving under pressure ------------------
     const std::size_t rounds = static_cast<std::size_t>(
-        harness.config().getIntIn("serve_rounds", 8, 1, 100000));
+        session.config().getIntIn("serve_rounds", 8, 1, 100000));
     const std::size_t load = static_cast<std::size_t>(
-        harness.config().getIntIn("serve_load", 1, 1, 1000));
+        session.config().getIntIn("serve_load", 1, 1, 1000));
     if (device_features.size() < 4) {
         std::printf("serving phase skipped: only %zu device(s) with "
                     "measurable WER\n",
                     device_features.size());
-        return harness.exitCode(0);
+        return session.exitCode(0);
     }
 
     bench::rule();
@@ -185,15 +181,15 @@ main(int argc, char **argv)
 
     serve::Params sp;
     sp.queueCapacity = static_cast<std::size_t>(
-        harness.config().getIntIn("serve_queue", 64, 1, 1 << 20));
+        session.config().getIntIn("serve_queue", 64, 1, 1 << 20));
     sp.budgetPerTick = static_cast<std::size_t>(
-        harness.config().getIntIn("serve_budget", 32, 1, 1 << 20));
+        session.config().getIntIn("serve_budget", 32, 1, 1 << 20));
     sp.degradeAfterTicks = static_cast<std::uint64_t>(
-        harness.config().getIntIn("serve_degrade_after", 3, 0, 100000));
+        session.config().getIntIn("serve_degrade_after", 3, 0, 100000));
     sp.shards = static_cast<int>(
-        harness.config().getIntIn("serve_shards", 2, 1, 64));
+        session.config().getIntIn("serve_shards", 2, 1, 64));
     sp.maxRetries = static_cast<int>(
-        harness.config().getIntIn("serve_retries", 1, 0, 100));
+        session.config().getIntIn("serve_retries", 1, 0, 100));
 
     // Durability: journal_dir= makes the serving phase crash-resumable
     // (serve/journal.hh). The journal salt folds in every knob that
@@ -201,17 +197,18 @@ main(int argc, char **argv)
     // traffic configuration is quarantined, never silently replayed —
     // the same config-digest guard the campaign checkpoint uses.
     // Thread count and snapshot cadence are deliberately excluded.
-    sp.journalDir = harness.config().getString("journal_dir", "");
+    sp.journalDir = session.config().getString("journal_dir", "");
     sp.snapshotEveryTicks = static_cast<std::uint64_t>(
-        harness.config().getIntIn("serve_snapshot_every", 16, 0,
+        session.config().getIntIn("serve_snapshot_every", 16, 0,
                                   1000000));
     {
         char traffic[160];
         std::snprintf(traffic, sizeof(traffic),
                       "fleet-traffic-v1,%d,%llu,%.17g,%zu,%zu",
                       servers,
-                      static_cast<unsigned long long>(footprint),
-                      harness.config().getDouble("work_scale", 1.0),
+                      static_cast<unsigned long long>(
+                          wparams.footprintBytes),
+                      wparams.workScale,
                       rounds, load);
         sp.journalSalt = fnv1a64(traffic);
     }
@@ -221,10 +218,10 @@ main(int argc, char **argv)
     // in-memory but before it reaches the journal, so the tick is
     // re-served on resume.
     const std::int64_t kill_at_tick =
-        harness.config().getIntIn("kill_at_tick", 0, 0, 1000000);
+        session.config().getIntIn("kill_at_tick", 0, 0, 1000000);
     if (kill_at_tick > 0) {
         const std::int64_t kill_code =
-            harness.config().getIntIn("kill_code", 9, 1, 255);
+            session.config().getIntIn("kill_code", 9, 1, 255);
         fi::Injector::instance().arm(
             "serve.kill:every=" + std::to_string(kill_at_tick) +
             ",count=1,code=" + std::to_string(kill_code));
@@ -239,7 +236,7 @@ main(int argc, char **argv)
     // reproduces them deterministically.
     std::size_t start_round = 0;
     if (service.resumedFromTick() >= 0) {
-        harness.setResumedFromTick(service.resumedFromTick());
+        session.setResumedFromTick(service.resumedFromTick());
         start_round = std::min(
             static_cast<std::size_t>(service.resumedFromTick()), rounds);
         std::printf("resumed from journal tick %lld: skipping %zu "
@@ -285,7 +282,7 @@ main(int argc, char **argv)
                      "disposition conservation violated: %g submitted "
                      "!= %g served + %g degraded + %g shed\n",
                      submitted, served, degraded, shed);
-        return harness.exitCode(1);
+        return session.exitCode(1);
     }
     std::printf("dispositions: %.0f submitted = %.0f served + %.0f "
                 "degraded + %.0f shed\n",
@@ -306,7 +303,7 @@ main(int argc, char **argv)
     // a journaled, killed and resumed run must produce this file
     // byte-for-byte identical to an unkilled run's (the chaos gate).
     const std::string transcript_out =
-        harness.config().getString("transcript_out", "");
+        session.config().getString("transcript_out", "");
     if (!transcript_out.empty()) {
         std::string body;
         for (const serve::Response &r : transcript) {
@@ -323,7 +320,7 @@ main(int argc, char **argv)
             body += '\n';
         }
         if (!fi::atomicWriteFile(transcript_out, body))
-            return harness.exitCode(1);
+            return session.exitCode(1);
         std::printf("serving transcript (%zu responses) written to %s\n",
                     transcript.size(), transcript_out.c_str());
     }
@@ -390,5 +387,5 @@ main(int argc, char **argv)
                     "answered device(s)\n",
                     answered.size());
     }
-    return harness.exitCode(0);
+    return session.exitCode(0);
 }

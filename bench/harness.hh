@@ -1,69 +1,19 @@
 /**
  * @file
- * Shared harness for the paper-reproduction benchmark binaries.
+ * Shared helpers for the paper-reproduction benchmark binaries.
  *
  * Every bench binary regenerates one table or figure of the paper on
  * the full-scale simulated platform (16 MiB footprint, default caches).
- * Command-line "key=value" overrides allow reduced runs:
+ * Its main constructs a core::RunSession from argc/argv, which reads
+ * the shared run keys (platform, telemetry, robustness; listed in
+ * core/run_session.hh) and writes every artifact when it goes out of
+ * scope. Reduced runs override them on the command line:
  *   footprint_mib=8 work_scale=0.5 epochs=60 repeats=5
- *
- * Telemetry overrides (see docs/observability.md):
- *   stats_out=<path>     dump the stats registry when the bench exits;
- *                        also writes <path>.manifest.json provenance
- *   trace_out=<path>     stream JSONL events ("-" for stderr)
- *   trace_events=<path>  record spans, export Perfetto trace-event
- *                        JSON, print the exclusive-time critical path
- *   manifest_out=<path>  write the run manifest here (default
- *                        <stats_out>.manifest.json)
- *   progress=true        one-line progress updates on stderr
- *   perf_counters=true   per-phase hardware-counter attribution
- *                        (perf.phase.<path>.*) plus a perf table at
- *                        exit; degrades to zeros where
- *                        perf_event_open is unavailable
- *   alloc_track=true     per-phase heap allocation attribution
- *                        (alloc.phase.<path>.bytes/.allocs)
- *   metrics_out=<path>   background sampler atomically rewrites this
- *                        OpenMetrics snapshot every tick
- *   metrics_port=<port>  serve GET /metrics on 127.0.0.1:<port>
- *                        (0 picks a free port)
- *   sample_interval=<d>  sampler cadence, e.g. 100ms (the default)
- *   slo=<spec>[,...]     SLO targets, e.g. slo=campaign.cell_ns:p99<5ms
- *                        (see docs/observability.md); verdicts land in
- *                        the manifest "slo" section
- *
- * Parallelism (see docs/parallelism.md):
- *   threads=<n>        size the global pool (overrides DFAULT_THREADS);
- *                      results are bit-identical for any value
- *
- * Robustness (see docs/robustness.md):
- *   faults=<spec>        arm fault-injection points (grammar in
- *                        fi/injector.hh; adds to DFAULT_FAULTS)
- *   checkpoint=<dir>     journal completed sweep cells there and
- *                        resume from them on the next run
- *   retries=<n>          per-cell retries before quarantine (default 2)
- *   fail_fast=true       abort the sweep on an exhausted cell instead
- *                        of degrading to a quarantine report
- *   quarantine_out=<path> quarantine report destination (default
- *                        <stats_out>.quarantine.json, only written
- *                        when cells were quarantined)
- *   task_timeout=<s>     watchdog flags a task silent for this long;
- *                        the task fails at its next heartbeat and is
- *                        retried or quarantined like any failure
- *   deadline=<s>         cancel the whole run after this much wall time
- *
- * SIGINT/SIGTERM cancel the run cooperatively: the bench's main should
- * catch par::CancelledError, let the Harness destructor run (it still
- * writes every artifact, marking the manifest "interrupted": true),
- * and return exitCode(). A second signal exits immediately.
- *
- * A per-phase timing table and the total wall clock are printed at
- * exit regardless.
  */
 
 #ifndef DFAULT_BENCH_HARNESS_HH
 #define DFAULT_BENCH_HARNESS_HH
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -74,326 +24,19 @@
 #include "core/dataset_builder.hh"
 #include "core/error_model.hh"
 #include "core/report.hh"
+#include "core/run_session.hh"
 #include "core/trainer.hh"
-#include "fi/injector.hh"
-#include "obs/alloc_tracker.hh"
-#include "obs/events.hh"
-#include "obs/manifest.hh"
-#include "obs/perf_counters.hh"
-#include "obs/sampler.hh"
-#include "obs/span.hh"
-#include "obs/stats.hh"
-#include "obs/timer.hh"
-#include "obs/trace_writer.hh"
 #include "par/cancel.hh"
-#include "par/pool.hh"
-#include "par/shutdown.hh"
-#include "sys/platform.hh"
 #include "workloads/registry.hh"
 
 namespace dfault::bench {
 
-/** Platform + campaign configured from the command line. */
-class Harness
+/** Repeats for PUE experiments (paper: 10). */
+inline int
+repeats(const Config &config)
 {
-  public:
-    Harness(int argc, char **argv)
-        : start_(std::chrono::steady_clock::now())
-    {
-        // Install before any work starts so an early ^C already
-        // drains cooperatively instead of killing the bench mid-write.
-        par::installSignalHandlers();
-        tool_ = argc > 0 ? argv[0] : "bench";
-        const std::size_t slash = tool_.find_last_of('/');
-        if (slash != std::string::npos)
-            tool_ = tool_.substr(slash + 1);
-        for (int i = 0; i < argc; ++i) {
-            if (i > 0)
-                commandLine_ += ' ';
-            commandLine_ += argv[i];
-        }
-        config_.parseArgs(argc, argv);
-        // Touching the injector here validates a malformed
-        // DFAULT_FAULTS spec up front, even on runs that never reach a
-        // fault point.
-        const std::string faults = config_.getString("faults", "");
-        if (!faults.empty())
-            fi::Injector::instance().arm(faults);
-        else
-            (void)fi::Injector::instance();
-        const int threads =
-            static_cast<int>(config_.getIntIn("threads", 0, 1, 4096));
-        if (threads > 0)
-            par::Pool::setGlobalThreads(threads);
-        const std::uint64_t footprint =
-            static_cast<std::uint64_t>(
-                config_.getIntIn("footprint_mib", 16, 1, 1 << 20))
-            << 20;
-
-        sys::Platform::Params pp;
-        pp.exec.timeDilation = sys::dilationForFootprint(footprint);
-        platform_ = std::make_unique<sys::Platform>(pp);
-
-        core::CharacterizationCampaign::Params cp;
-        cp.workload.footprintBytes = footprint;
-        cp.workload.workScale =
-            config_.getDoubleIn("work_scale", 1.0, 1e-6, 1000.0);
-        cp.integrator.epochs = static_cast<int>(
-            config_.getIntIn("epochs", 120, 1, 1000000));
-        cp.useThermalLoop = config_.getBool("thermal_loop", true);
-        cp.taskRetries = static_cast<int>(
-            config_.getIntIn("retries", cp.taskRetries, 0, 1000));
-        cp.failFast = config_.getBool("fail_fast", cp.failFast);
-        cp.checkpointDir = config_.getString("checkpoint", "");
-        campaign_ = std::make_unique<core::CharacterizationCampaign>(
-            *platform_, cp);
-
-        statsOut_ = config_.getString("stats_out", "");
-        manifestOut_ = config_.getString("manifest_out", "");
-        const std::string trace = config_.getString("trace_out", "");
-        if (!trace.empty())
-            obs::EventSink::instance().open(trace);
-        traceEvents_ = config_.getString("trace_events", "");
-        if (!traceEvents_.empty())
-            obs::SpanTracer::instance().enable();
-        obs::setProgress(config_.getBool("progress", false));
-        perfCounters_ = config_.getBool("perf_counters", false);
-        if (perfCounters_) {
-            obs::PerfCounters::setPhaseProfiling(true);
-            const auto &pc = obs::PerfCounters::threadInstance();
-            if (!pc.available())
-                DFAULT_INFORM("perf counters unavailable (",
-                              pc.unavailableReason(),
-                              "); perf.* stats will read zero");
-        }
-        if (config_.getBool("alloc_track", false))
-            obs::AllocTracker::enable();
-
-        // Supervision: a watchdog for silent tasks and a wall-clock
-        // deadline for the whole run. 0 (the default) disables each.
-        par::WatchdogOptions wd;
-        wd.taskTimeoutSeconds =
-            config_.getDoubleIn("task_timeout", 0.0, 0.0, 86400.0);
-        wd.deadlineSeconds =
-            config_.getDoubleIn("deadline", 0.0, 0.0, 86400.0);
-        if (wd.taskTimeoutSeconds > 0.0 || wd.deadlineSeconds > 0.0)
-            par::Pool::global().enableWatchdog(wd);
-
-        // Live telemetry: any sampler knob switches the background
-        // sampler on (mirrors the dfault CLI's --metrics-* flags).
-        metricsOut_ = config_.getString("metrics_out", "");
-        const std::string interval =
-            config_.getString("sample_interval", "");
-        const std::string slo_specs = config_.getString("slo", "");
-        const int metrics_port = static_cast<int>(
-            config_.getIntIn("metrics_port", -1, -1, 65535));
-        if (!metricsOut_.empty() || metrics_port >= 0 ||
-            !slo_specs.empty() || !interval.empty()) {
-            obs::SamplerOptions so;
-            if (!interval.empty()) {
-                const auto seconds =
-                    obs::parseDurationSeconds(interval);
-                if (!seconds || *seconds <= 0.0)
-                    DFAULT_FATAL("malformed sample_interval '",
-                                 interval, "' (want e.g. 100ms, 2s)");
-                so.intervalSeconds = *seconds;
-            }
-            so.metricsOutPath = metricsOut_;
-            so.metricsPort = metrics_port;
-            std::string::size_type begin = 0;
-            while (begin <= slo_specs.size() && !slo_specs.empty()) {
-                auto end = slo_specs.find(',', begin);
-                if (end == std::string::npos)
-                    end = slo_specs.size();
-                const std::string spec =
-                    slo_specs.substr(begin, end - begin);
-                if (!spec.empty()) {
-                    std::string error;
-                    const auto target =
-                        obs::parseSloTarget(spec, &error);
-                    if (!target)
-                        DFAULT_FATAL("bad slo spec '", spec, "': ",
-                                     error);
-                    so.sloTargets.push_back(*target);
-                }
-                begin = end + 1;
-            }
-            obs::Sampler::instance().start(so);
-            const auto &server = obs::Sampler::instance().server();
-            if (server.running())
-                DFAULT_INFORM("serving OpenMetrics on "
-                              "http://127.0.0.1:",
-                              server.port(), "/metrics");
-        }
-    }
-
-    /** Timing report + stats dump when the bench binary exits. */
-    ~Harness()
-    {
-        const double wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start_)
-                .count();
-        const auto phases = obs::phaseTimes();
-        if (!phases.empty()) {
-            std::printf("\n%-36s %12s %8s\n", "phase", "seconds",
-                        "calls");
-            for (const auto &p : phases)
-                std::printf("%-36s %12.3f %8llu\n", p.path.c_str(),
-                            p.seconds,
-                            static_cast<unsigned long long>(p.calls));
-        }
-        std::printf("\ntotal wall clock %.3f s\n", wall);
-        if (perfCounters_)
-            obs::printPerfTable(stdout);
-
-        auto &tracer = obs::SpanTracer::instance();
-        if (tracer.enabled()) {
-            tracer.disable();
-            const auto entries = tracer.drain();
-            std::printf("\n");
-            obs::printCriticalPath(stdout,
-                                   obs::exclusiveTimes(entries));
-            if (tracer.dropped() > 0)
-                DFAULT_WARN("span ring overflow: ", tracer.dropped(),
-                            " oldest trace entries dropped");
-            if (!obs::writeTraceFile(traceEvents_, entries))
-                DFAULT_FATAL("cannot write trace events to '",
-                             traceEvents_, "'");
-            DFAULT_INFORM("trace events written to ", traceEvents_,
-                          " (load in ui.perfetto.dev)");
-        }
-
-        // Record what the injector actually did this run; fi.* stats
-        // are excluded from the manifest digest, so a faulted run can
-        // still digest-match a clean one.
-        auto &inj = fi::Injector::instance();
-        if (inj.armed()) {
-            // Chaos hook for the drain path itself: lets CI check
-            // that a single signal waits for the artifacts and a
-            // second one still exits immediately.
-            inj.maybeStall("shutdown.slow_drain", 0);
-            for (const auto &[point, fired] : inj.firedCounts())
-                obs::Registry::instance()
-                    .gauge("fi.fired." + point,
-                           "times this fault point fired")
-                    .set(static_cast<double>(fired));
-        }
-
-        const auto &quarantine = campaign_->lastQuarantine();
-        std::string quarantine_path =
-            config_.getString("quarantine_out", "");
-        if (quarantine_path.empty() && !statsOut_.empty())
-            quarantine_path = statsOut_ + ".quarantine.json";
-        if (!quarantine.empty() && !quarantine_path.empty()) {
-            if (!core::writeQuarantineFile(quarantine, quarantine_path))
-                DFAULT_FATAL("cannot write quarantine report to '",
-                             quarantine_path, "'");
-            DFAULT_INFORM(quarantine.size(),
-                          " quarantined cell(s); report written to ",
-                          quarantine_path);
-        }
-
-        // Stop the sampler before the stats/manifest epilogue: stop()
-        // runs the final flush tick (last metrics snapshot, final SLO
-        // verdicts) and emits closing slo_breach events while the
-        // event sink is still open.
-        auto &sampler = obs::Sampler::instance();
-        const bool sampled = sampler.running() || sampler.ticks() > 0;
-        sampler.stop();
-        if (sampled && !metricsOut_.empty())
-            DFAULT_INFORM("OpenMetrics snapshot written to ",
-                          metricsOut_);
-
-        if (!statsOut_.empty()) {
-            obs::Registry::instance().writeFile(statsOut_);
-            DFAULT_INFORM("stats written to ", statsOut_);
-        }
-        // Provenance: tie every figure artifact back to the run that
-        // produced it (digest covers the deterministic stats only, so
-        // a same-seed re-run reproduces it exactly).
-        std::string manifest_path = manifestOut_;
-        if (manifest_path.empty() && !statsOut_.empty())
-            manifest_path = statsOut_ + ".manifest.json";
-        if (!manifest_path.empty()) {
-            obs::ManifestInfo info;
-            info.tool = tool_;
-            info.command = commandLine_;
-            for (const std::string &key : config_.keys())
-                info.config.emplace_back(key,
-                                         config_.getString(key));
-            info.threads = par::Pool::global().threads();
-            info.statsPath = statsOut_;
-            info.tracePath = traceEvents_;
-            info.wallSeconds = wall;
-            if (par::rootCancelToken().cancelled()) {
-                info.interrupted = true;
-                info.interruptReason =
-                    par::rootCancelToken().reason();
-            }
-            info.resumedFromTick = resumedFromTick_;
-            if (sampled) {
-                info.metricsPath = metricsOut_;
-                info.samplerTicks = sampler.ticks();
-                info.sloSummaryJson = sampler.sloSummaryJson();
-            }
-            if (!obs::writeManifestFile(manifest_path, info))
-                DFAULT_FATAL("cannot write manifest to '",
-                             manifest_path, "'");
-            DFAULT_INFORM("run manifest written to ", manifest_path);
-        }
-        obs::EventSink::instance().close();
-        par::Pool::global().disableWatchdog();
-        par::uninstallSignalHandlers();
-    }
-
-    Harness(const Harness &) = delete;
-    Harness &operator=(const Harness &) = delete;
-
-    sys::Platform &platform() { return *platform_; }
-    core::CharacterizationCampaign &campaign() { return *campaign_; }
-    const Config &config() const { return config_; }
-
-    /** Repeats for PUE experiments (paper: 10). */
-    int repeats() const
-    {
-        return static_cast<int>(config_.getInt("repeats", 10));
-    }
-
-    /**
-     * What main should return: 128+signo after a signal-driven
-     * shutdown (130 for SIGINT, 143 for SIGTERM), else @p rc.
-     */
-    static int exitCode(int rc = 0)
-    {
-        const int sig = par::shutdownExitCode();
-        return sig != 0 ? sig : rc;
-    }
-
-    /**
-     * Record that the serving phase resumed from its write-ahead
-     * journal at @p tick; the manifest then carries resumed_from_tick
-     * so downstream tooling can tell a resumed run from a fresh one.
-     */
-    void setResumedFromTick(std::int64_t tick)
-    {
-        resumedFromTick_ = tick;
-    }
-
-  private:
-    Config config_;
-    std::string tool_;
-    std::string commandLine_;
-    std::string statsOut_;
-    std::string traceEvents_;
-    std::string manifestOut_;
-    std::string metricsOut_;
-    std::int64_t resumedFromTick_ = -1;
-    bool perfCounters_ = false;
-    std::chrono::steady_clock::time_point start_;
-    std::unique_ptr<sys::Platform> platform_;
-    std::unique_ptr<core::CharacterizationCampaign> campaign_;
-};
+    return static_cast<int>(config.getIntIn("repeats", 10, 1, 1000000));
+}
 
 /** Print a horizontal rule sized to the preceding header. */
 inline void

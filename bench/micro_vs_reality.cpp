@@ -19,16 +19,16 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
     bench::banner("Micro vs reality (paper §II-C)",
                   "retention profile from the random micro-benchmark "
                   "vs real apps' error rows");
 
-    core::RetentionProfiler profiler(harness.campaign());
+    core::RetentionProfiler profiler(session.campaign());
     const Seconds eval_trefp = 2.283;
 
     // Profile the two extreme devices (weakest and strongest).
-    const auto &devices = harness.platform().devices();
+    const auto &devices = session.platform().devices();
     int weakest = 0, strongest = 0;
     for (int d = 0; d < static_cast<int>(devices.size()); ++d) {
         if (devices[d].retentionScale() <
@@ -40,7 +40,7 @@ main(int argc, char **argv)
     }
 
     for (const int device : {weakest, strongest}) {
-        const auto id = harness.platform().geometry().deviceAt(device);
+        const auto id = session.platform().geometry().deviceAt(device);
         std::printf("\ndevice %s (retention scale %.2f):\n",
                     id.label().c_str(),
                     devices[device].retentionScale());

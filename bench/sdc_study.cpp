@@ -23,7 +23,7 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
     bench::banner("SDC study (part 1)",
                   "SECDED decode outcomes vs injected flip count "
                   "(Monte Carlo, real codec)");
@@ -31,7 +31,7 @@ main(int argc, char **argv)
     dram::EccSecded ecc;
     Rng rng(0xecc);
     const int trials = static_cast<int>(
-        harness.config().getInt("sdc_trials", 20000));
+        session.config().getInt("sdc_trials", 20000));
 
     std::printf("%-6s %12s %12s %12s\n", "flips", "corrected",
                 "detected", "miscorrected");
@@ -78,9 +78,9 @@ main(int argc, char **argv)
     bench::banner("SDC study (part 2)",
                   "expected >=3-flip words per 2-hour 8 GiB run");
     std::printf("%-34s %16s\n", "operating point", "E[SDC events]");
-    const auto &wparams = harness.campaign().params().workload;
+    const auto &wparams = session.campaign().params().workload;
     const auto &profile = features::ProfileCache::instance().get(
-        harness.platform(), {"srad", 8, "srad(par)"}, wparams);
+        session.platform(), {"srad", 8, "srad(par)"}, wparams);
 
     for (const dram::OperatingPoint op :
          {dram::OperatingPoint{1.173, dram::kMinVdd, 50.0},
@@ -88,9 +88,9 @@ main(int argc, char **argv)
           dram::OperatingPoint{2.283, dram::kMinVdd, 60.0},
           dram::OperatingPoint{1.450, dram::kMinVdd, 70.0},
           dram::OperatingPoint{2.283, dram::kMinVdd, 70.0}}) {
-        const auto run = harness.campaign().integrator().run(
-            profile, op, harness.platform().geometry(),
-            harness.platform().devices());
+        const auto run = session.campaign().integrator().run(
+            profile, op, session.platform().geometry(),
+            session.platform().devices());
         std::printf("%-34s %16.3e%s\n", op.label().c_str(),
                     run.expectedSdc,
                     run.crashed ? "  (run crashes with a UE first)"

@@ -18,10 +18,10 @@ using namespace dfault;
 int
 main(int argc, char **argv)
 {
-    bench::Harness harness(argc, argv);
+    core::RunSession session(argc, argv);
     bench::banner("Table II", "average DRAM reuse time (seconds)");
 
-    const auto &wparams = harness.campaign().params().workload;
+    const auto &wparams = session.campaign().params().workload;
 
     std::printf("%-12s %12s %12s\n", "kernel", "1 thread",
                 "8 threads");
@@ -30,7 +30,7 @@ main(int argc, char **argv)
         std::printf("%-12s", kernel);
         for (const int threads : {1, 8}) {
             const auto &profile = features::ProfileCache::instance().get(
-                harness.platform(), {kernel, threads, kernel}, wparams);
+                session.platform(), {kernel, threads, kernel}, wparams);
             std::printf(" %12.2f", profile.treuse);
         }
         std::printf("\n");
@@ -40,7 +40,7 @@ main(int argc, char **argv)
     std::printf("%-12s %12s %12s\n", "kernel", "", "8 threads");
     for (const char *kernel : {"memcached", "pagerank", "bfs", "bc"}) {
         const auto &profile = features::ProfileCache::instance().get(
-            harness.platform(), {kernel, 8, kernel}, wparams);
+            session.platform(), {kernel, 8, kernel}, wparams);
         std::printf("%-12s %12s %12.2f\n", kernel, "",
                     profile.treuse);
     }

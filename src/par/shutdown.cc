@@ -92,6 +92,17 @@ installSignalHandlers()
     ::fcntl(g_pipe[0], F_SETFD, FD_CLOEXEC);
     ::fcntl(g_pipe[1], F_SETFD, FD_CLOEXEC);
     g_monitor = std::thread(monitorLoop);
+    // fatal() calls std::exit while the handlers may be installed;
+    // destroying a joinable std::thread there would std::terminate().
+    // Detach instead and let the monitor die with the process.
+    static const bool detach_at_exit = [] {
+        std::atexit([] {
+            if (g_monitor.joinable())
+                g_monitor.detach();
+        });
+        return true;
+    }();
+    (void)detach_at_exit;
 
     struct sigaction sa;
     std::memset(&sa, 0, sizeof(sa));

@@ -7,316 +7,99 @@
  *   profile <kernel>        print the program features of a workload
  *   characterize <kernel>   run one characterization experiment
  *   sweep <out.csv>         run the full campaign, export the dataset
+ *   report <out.csv>        WER table + per-device measurement CSV
  *   evaluate                LOBO accuracy of SVM/KNN/RDF on a sweep
  *   predict <kernel>        train on the standard suite, predict the
  *                           given workload's WER per device
  *
- * Every subcommand accepts key=value overrides:
- *   footprint_mib=16 work_scale=1.0 epochs=120 trefp_s=2.283
- *   temp_c=50 vdd_v=1.428 threads=8 input_set=1 model=knn
- *
- * Telemetry flags (see docs/observability.md):
- *   --stats-out=<path>     dump the stats registry after the command
- *                          (.json suffix selects JSON, else gem5-style
- *                          text); also writes <path>.manifest.json
- *   --trace-out=<path>     stream JSONL events ("-" for stderr)
- *   --trace-events=<path>  record spans and export a Perfetto /
- *                          chrome://tracing trace-event JSON; prints
- *                          the exclusive-time critical-path summary
- *   --manifest-out=<path>  write the run provenance manifest here
- *                          (default <stats-out>.manifest.json)
- *   --progress             one-line progress updates on stderr
- *   --perf-counters        per-phase hardware-counter attribution
- *                          (perf.phase.<path>.*) and a perf table at
- *                          exit; reads zero where perf_event_open is
- *                          unavailable (VMs, perf_event_paranoid)
- *   --alloc-track          per-phase heap allocation attribution
- *                          (alloc.phase.<path>.bytes/.allocs)
- *   --metrics-out=<path>   stream OpenMetrics snapshots here: the
- *                          sampler thread atomically rewrites the file
- *                          every tick, so scrapers always read a
- *                          complete document
- *   --metrics-port=<port>  additionally serve GET /metrics on
- *                          127.0.0.1:<port> (0 picks a free port)
- *   --sample-interval=<d>  sampler cadence, e.g. 100ms / 2s
- *                          (default 100ms)
- *   slo=<spec>[,<spec>...] declare SLO targets evaluated every tick,
- *                          e.g. slo=campaign.cell_ns:p99<5ms; breaches
- *                          emit slo_breach JSONL events and a verdict
- *                          table in the manifest's "slo" section
- *
- * Robustness overrides (see docs/robustness.md):
- *   faults=<spec>    arm fault-injection points (fi/injector.hh)
- *   checkpoint=<dir> journal sweep cells; resume from them on re-run
- *   retries=<n>      per-cell retries before quarantine (default 2)
- *   fail_fast=true   abort a sweep on an exhausted cell
- *   task_timeout=<s> watchdog flags a task silent for this long; the
- *                    task is failed at its next heartbeat and retried
- *                    or quarantined like any other failure
- *   deadline=<s>     cancel the whole run after this much wall time
- *   --quarantine-out=<path>  quarantine report destination (default
- *                          <stats-out>.quarantine.json)
+ * Every subcommand accepts the run keys of core::RunSession
+ * (footprint_mib, work_scale, epochs, threads, stats_out, trace_events,
+ * faults, checkpoint, slo, ...; see core/run_session.hh), each also
+ * spelled as a flag: --stats-out=<path> is stats_out=<path> and
+ * --progress is progress=true. The subcommands add their own keys:
+ *   trefp_s=2.283 vdd_v=1.428 temp_c=50   operating point
+ *   threads=8                             workload threads (also sizes
+ *                                         the pool)
+ *   input_set=1 model=knn                 predictor choice
  *
  * SIGINT/SIGTERM cancel the run cooperatively: in-flight work drains,
- * checkpoints flush, and all artifacts above are still written, with
- * the manifest marked "interrupted": true. A second signal exits
+ * checkpoints flush, and every artifact is still written, with the
+ * manifest marked "interrupted": true. A second signal exits
  * immediately. Exit code is 130 (SIGINT) / 143 (SIGTERM).
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
-#include <cstring>
-#include <string_view>
 
 #include "common/config.hh"
 #include "common/logging.hh"
-#include "obs/alloc_tracker.hh"
-#include "obs/events.hh"
-#include "obs/perf_counters.hh"
-#include "obs/manifest.hh"
-#include "obs/sampler.hh"
-#include "obs/span.hh"
-#include "obs/stats.hh"
-#include "obs/trace_writer.hh"
 #include "core/dataset_builder.hh"
-#include "core/report.hh"
-#include "par/cancel.hh"
-#include "par/pool.hh"
-#include "par/shutdown.hh"
 #include "core/error_model.hh"
+#include "core/report.hh"
+#include "core/run_session.hh"
 #include "core/trainer.hh"
 #include "features/extractor.hh"
-#include "fi/injector.hh"
 #include "ml/io.hh"
-#include "sys/platform.hh"
+#include "par/cancel.hh"
 
 using namespace dfault;
 
 namespace {
 
-struct Cli
+dram::OperatingPoint
+operatingPoint(const Config &config)
 {
-    Config config;
-    std::vector<std::string> positional;
-    std::string statsOut;
-    std::string traceEvents;
-    std::string manifestOut;
-    std::string quarantineOut;
-    std::string commandLine;
-    std::string metricsOut;
-    std::string sampleInterval;
-    int metricsPort = -1;
-    bool perfCounters = false;
-    std::chrono::steady_clock::time_point start =
-        std::chrono::steady_clock::now();
-    std::unique_ptr<sys::Platform> platform;
-    std::unique_ptr<core::CharacterizationCampaign> campaign;
+    dram::OperatingPoint op{config.getDouble("trefp_s", 2.283),
+                            config.getDouble("vdd_v",
+                                             dram::kMinVdd),
+                            config.getDouble("temp_c", 50.0)};
+    op.validate();
+    return op;
+}
 
-    Cli(int argc, char **argv)
-    {
-        for (int i = 0; i < argc; ++i) {
-            if (i > 0)
-                commandLine += ' ';
-            commandLine += argv[i];
-        }
-        // Telemetry flags are peeled off before key=value parsing so
-        // they never collide with config keys or positionals.
-        std::vector<char *> args;
-        args.reserve(static_cast<std::size_t>(argc));
-        for (int i = 0; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.starts_with("--stats-out="))
-                statsOut = arg.substr(12);
-            else if (arg.starts_with("--trace-out="))
-                obs::EventSink::instance().open(
-                    std::string(arg.substr(12)));
-            else if (arg.starts_with("--trace-events=")) {
-                traceEvents = arg.substr(15);
-                obs::SpanTracer::instance().enable();
-            } else if (arg.starts_with("--manifest-out="))
-                manifestOut = arg.substr(15);
-            else if (arg.starts_with("--quarantine-out="))
-                quarantineOut = arg.substr(17);
-            else if (arg == "--progress")
-                obs::setProgress(true);
-            else if (arg == "--perf-counters") {
-                perfCounters = true;
-                obs::PerfCounters::setPhaseProfiling(true);
-                const auto &pc = obs::PerfCounters::threadInstance();
-                if (!pc.available())
-                    DFAULT_INFORM("perf counters unavailable (",
-                                  pc.unavailableReason(),
-                                  "); perf.* stats will read zero");
-            } else if (arg == "--alloc-track")
-                obs::AllocTracker::enable();
-            else if (arg.starts_with("--metrics-out="))
-                metricsOut = arg.substr(14);
-            else if (arg.starts_with("--metrics-port=")) {
-                const std::string port(arg.substr(15));
-                char *end = nullptr;
-                const long v = std::strtol(port.c_str(), &end, 10);
-                if (end == port.c_str() || *end != '\0' || v < 0 ||
-                    v > 65535)
-                    DFAULT_FATAL("--metrics-port must be in [0, 65535],"
-                                 " got '", port, "'");
-                metricsPort = static_cast<int>(v);
-            } else if (arg.starts_with("--sample-interval="))
-                sampleInterval = arg.substr(18);
-            else if (i > 0 && arg.starts_with("--"))
-                DFAULT_FATAL("unknown flag '", std::string(arg),
-                             "'; telemetry flags are --stats-out=, "
-                             "--trace-out=, --trace-events=, "
-                             "--manifest-out=, --quarantine-out=, "
-                             "--progress, --perf-counters, "
-                             "--alloc-track, --metrics-out=, "
-                             "--metrics-port=, --sample-interval=");
-            else
-                args.push_back(argv[i]);
-        }
-        positional = config.parseArgs(static_cast<int>(args.size()),
-                                      args.data());
+workloads::WorkloadConfig
+workloadConfig(const Config &config, const std::string &kernel)
+{
+    const int threads =
+        static_cast<int>(config.getIntIn("threads", 8, 1, 4096));
+    return {kernel, threads,
+            threads == 1 ? kernel : kernel + "(par)"};
+}
 
-        // Touching the injector here validates a malformed
-        // DFAULT_FAULTS spec up front, even on runs that never reach a
-        // fault point.
-        const std::string faults = config.getString("faults", "");
-        if (!faults.empty())
-            fi::Injector::instance().arm(faults);
-        else
-            (void)fi::Injector::instance();
-
-        sys::Platform::Params pp;
-        const std::uint64_t footprint =
-            static_cast<std::uint64_t>(
-                config.getIntIn("footprint_mib", 16, 1, 1 << 20))
-            << 20;
-        pp.exec.timeDilation = sys::dilationForFootprint(footprint);
-        platform = std::make_unique<sys::Platform>(pp);
-
-        core::CharacterizationCampaign::Params cp;
-        cp.workload.footprintBytes = footprint;
-        cp.workload.workScale =
-            config.getDoubleIn("work_scale", 1.0, 1e-6, 1000.0);
-        cp.integrator.epochs = static_cast<int>(
-            config.getIntIn("epochs", 120, 1, 1000000));
-        cp.useThermalLoop = config.getBool("thermal_loop", true);
-        cp.taskRetries = static_cast<int>(
-            config.getIntIn("retries", cp.taskRetries, 0, 1000));
-        cp.failFast = config.getBool("fail_fast", cp.failFast);
-        cp.checkpointDir = config.getString("checkpoint", "");
-        campaign = std::make_unique<core::CharacterizationCampaign>(
-            *platform, cp);
-
-        // Supervision: a watchdog for silent tasks and a wall-clock
-        // deadline for the whole run. 0 (the default) disables each.
-        par::WatchdogOptions wd;
-        wd.taskTimeoutSeconds =
-            config.getDoubleIn("task_timeout", 0.0, 0.0, 86400.0);
-        wd.deadlineSeconds =
-            config.getDoubleIn("deadline", 0.0, 0.0, 86400.0);
-        if (wd.taskTimeoutSeconds > 0.0 || wd.deadlineSeconds > 0.0)
-            par::Pool::global().enableWatchdog(wd);
-
-        // Live telemetry: any of the sampler knobs switches the
-        // background sampler on.
-        const std::string slo_specs = config.getString("slo", "");
-        if (!metricsOut.empty() || metricsPort >= 0 ||
-            !slo_specs.empty() || !sampleInterval.empty()) {
-            obs::SamplerOptions so;
-            if (!sampleInterval.empty()) {
-                const auto seconds =
-                    obs::parseDurationSeconds(sampleInterval);
-                if (!seconds || *seconds <= 0.0)
-                    DFAULT_FATAL("malformed --sample-interval '",
-                                 sampleInterval,
-                                 "' (want e.g. 100ms, 2s)");
-                so.intervalSeconds = *seconds;
-            }
-            so.metricsOutPath = metricsOut;
-            so.metricsPort = metricsPort;
-            std::string::size_type begin = 0;
-            while (begin <= slo_specs.size() && !slo_specs.empty()) {
-                auto end = slo_specs.find(',', begin);
-                if (end == std::string::npos)
-                    end = slo_specs.size();
-                const std::string spec =
-                    slo_specs.substr(begin, end - begin);
-                if (!spec.empty()) {
-                    std::string error;
-                    const auto target =
-                        obs::parseSloTarget(spec, &error);
-                    if (!target)
-                        DFAULT_FATAL("bad slo spec '", spec, "': ",
-                                     error);
-                    so.sloTargets.push_back(*target);
-                }
-                begin = end + 1;
-            }
-            obs::Sampler::instance().start(so);
-            const auto &server = obs::Sampler::instance().server();
-            if (server.running())
-                DFAULT_INFORM("serving OpenMetrics on http://127.0.0.1:",
-                              server.port(), "/metrics");
-        }
+core::InputSet
+inputSet(const Config &config)
+{
+    switch (config.getInt("input_set", 1)) {
+      case 1:
+        return core::InputSet::Set1;
+      case 2:
+        return core::InputSet::Set2;
+      case 3:
+        return core::InputSet::Set3;
+      default:
+        DFAULT_FATAL("input_set must be 1, 2 or 3");
     }
+}
 
-    dram::OperatingPoint
-    operatingPoint() const
-    {
-        dram::OperatingPoint op{config.getDouble("trefp_s", 2.283),
-                                config.getDouble("vdd_v",
-                                                 dram::kMinVdd),
-                                config.getDouble("temp_c", 50.0)};
-        op.validate();
-        return op;
-    }
-
-    workloads::WorkloadConfig
-    workloadConfig(const std::string &kernel) const
-    {
-        const int threads =
-            static_cast<int>(config.getIntIn("threads", 8, 1, 4096));
-        return {kernel, threads,
-                threads == 1 ? kernel : kernel + "(par)"};
-    }
-
-    core::InputSet
-    inputSet() const
-    {
-        switch (config.getInt("input_set", 1)) {
-          case 1:
-            return core::InputSet::Set1;
-          case 2:
-            return core::InputSet::Set2;
-          case 3:
-            return core::InputSet::Set3;
-          default:
-            DFAULT_FATAL("input_set must be 1, 2 or 3");
-        }
-    }
-
-    core::ModelKind
-    modelKind() const
-    {
-        const std::string name = config.getString("model", "knn");
-        if (name == "knn")
-            return core::ModelKind::Knn;
-        if (name == "svm")
-            return core::ModelKind::Svm;
-        if (name == "rdf")
-            return core::ModelKind::Rdf;
-        DFAULT_FATAL("model must be knn, svm or rdf");
-    }
-};
+core::ModelKind
+modelKind(const Config &config)
+{
+    const std::string name = config.getString("model", "knn");
+    if (name == "knn")
+        return core::ModelKind::Knn;
+    if (name == "svm")
+        return core::ModelKind::Svm;
+    if (name == "rdf")
+        return core::ModelKind::Rdf;
+    DFAULT_FATAL("model must be knn, svm or rdf");
+}
 
 int
-cmdProfile(Cli &cli, const std::string &kernel)
+cmdProfile(core::RunSession &session, const std::string &kernel)
 {
-    const auto config = cli.workloadConfig(kernel);
+    const auto config = workloadConfig(session.config(), kernel);
     const auto &profile = features::ProfileCache::instance().get(
-        *cli.platform, config, cli.campaign->params().workload);
+        session.platform(), config, session.campaign().params().workload);
 
     std::printf("profile of %s (%d threads):\n", config.label.c_str(),
                 config.threads);
@@ -339,34 +122,34 @@ cmdProfile(Cli &cli, const std::string &kernel)
 }
 
 int
-cmdCharacterize(Cli &cli, const std::string &kernel)
+cmdCharacterize(core::RunSession &session, const std::string &kernel)
 {
-    const auto op = cli.operatingPoint();
-    const auto m =
-        cli.campaign->measure(cli.workloadConfig(kernel), op);
+    const auto op = operatingPoint(session.config());
+    const auto m = session.campaign().measure(
+        workloadConfig(session.config(), kernel), op);
     std::printf("%s at %s:\n", m.label.c_str(), op.label().c_str());
     std::printf("  achieved temperature %.1f C\n",
                 m.achieved.temperature);
     if (m.run.crashed) {
         std::printf("  UNCORRECTABLE ERROR after %d minutes on %s\n",
                     m.run.crashEpoch,
-                    cli.platform->geometry()
+                    session.platform().geometry()
                         .deviceAt(m.run.crashDevice)
                         .label()
                         .c_str());
     }
     std::printf("  aggregate WER %.3e\n", m.run.wer());
-    for (int d = 0; d < cli.platform->geometry().deviceCount(); ++d)
+    for (int d = 0; d < session.platform().geometry().deviceCount(); ++d)
         std::printf("  %-12s WER %.3e\n",
-                    cli.platform->geometry().deviceAt(d).label().c_str(),
+                    session.platform().geometry().deviceAt(d).label().c_str(),
                     m.run.werForDevice(d));
     return 0;
 }
 
 int
-cmdSweep(Cli &cli, const std::string &out_path)
+cmdSweep(core::RunSession &session, const std::string &out_path)
 {
-    const auto measurements = cli.campaign->sweep(
+    const auto measurements = session.campaign().sweep(
         workloads::standardSuite(), core::werOperatingPoints());
     // Export the aggregate-WER dataset with the full feature schema.
     ml::Dataset data(features::FeatureCatalog::instance().names());
@@ -384,24 +167,24 @@ cmdSweep(Cli &cli, const std::string &out_path)
 }
 
 int
-cmdReport(Cli &cli, const std::string &out_path)
+cmdReport(core::RunSession &session, const std::string &out_path)
 {
-    const auto measurements = cli.campaign->sweep(
+    const auto measurements = session.campaign().sweep(
         workloads::standardSuite(), core::werOperatingPoints());
     core::printWerTable(measurements, std::cout);
     core::writeMeasurementsCsvFile(measurements,
-                                   cli.platform->geometry(), out_path);
+                                   session.platform().geometry(), out_path);
     std::printf("\nper-device measurement CSV written to %s\n",
                 out_path.c_str());
     return 0;
 }
 
 int
-cmdEvaluate(Cli &cli)
+cmdEvaluate(core::RunSession &session)
 {
-    const auto measurements = cli.campaign->sweep(
+    const auto measurements = session.campaign().sweep(
         workloads::standardSuite(), core::werOperatingPoints());
-    const int devices = cli.platform->geometry().deviceCount();
+    const int devices = session.platform().geometry().deviceCount();
     std::printf("LOBO MPE of WER estimates (avg over %d devices), %%:\n",
                 devices);
     std::printf("%-6s %12s %12s %12s\n", "model", "input set 1",
@@ -424,28 +207,28 @@ cmdEvaluate(Cli &cli)
 }
 
 int
-cmdPredict(Cli &cli, const std::string &kernel)
+cmdPredict(core::RunSession &session, const std::string &kernel)
 {
     std::printf("training %s on the standard suite...\n",
-                core::modelKindName(cli.modelKind()).c_str());
-    const auto measurements = cli.campaign->sweep(
+                core::modelKindName(modelKind(session.config())).c_str());
+    const auto measurements = session.campaign().sweep(
         workloads::standardSuite(), core::werOperatingPoints());
     core::DramErrorModel::Options options;
-    options.kind = cli.modelKind();
-    options.inputSet = cli.inputSet();
+    options.kind = modelKind(session.config());
+    options.inputSet = inputSet(session.config());
     const auto model = core::DramErrorModel::trainWer(
-        measurements, cli.platform->geometry().deviceCount(), options);
+        measurements, session.platform().geometry().deviceCount(), options);
 
-    const auto config = cli.workloadConfig(kernel);
+    const auto config = workloadConfig(session.config(), kernel);
     const auto &profile = features::ProfileCache::instance().get(
-        *cli.platform, config, cli.campaign->params().workload);
-    const auto op = cli.operatingPoint();
+        session.platform(), config, session.campaign().params().workload);
+    const auto op = operatingPoint(session.config());
 
     std::printf("\npredicted WER of %s at %s:\n", config.label.c_str(),
                 op.label().c_str());
-    for (int d = 0; d < cli.platform->geometry().deviceCount(); ++d)
+    for (int d = 0; d < session.platform().geometry().deviceCount(); ++d)
         std::printf("  %-12s %.3e\n",
-                    cli.platform->geometry().deviceAt(d).label().c_str(),
+                    session.platform().geometry().deviceAt(d).label().c_str(),
                     model.predictWer(profile, op, d));
     std::printf("  %-12s %.3e\n", "aggregate",
                 model.predictWerAggregate(profile, op));
@@ -465,40 +248,39 @@ usage()
         "  predict <kernel>       train + predict per-device WER\n"
         "kernels: backprop kmeans nw srad fmm memcached pagerank bfs\n"
         "         bc lulesh_o2 lulesh_f random\n"
-        "overrides: footprint_mib work_scale epochs trefp_s temp_c\n"
-        "           vdd_v threads input_set model thermal_loop\n"
-        "           faults checkpoint retries fail_fast\n"
-        "           task_timeout deadline slo\n"
-        "telemetry: --stats-out=<path> --trace-out=<path>\n"
-        "           --trace-events=<path> --manifest-out=<path>\n"
-        "           --quarantine-out=<path> --progress\n"
-        "           --perf-counters --alloc-track\n"
-        "           --metrics-out=<path> --metrics-port=<port>\n"
-        "           --sample-interval=<dur>\n");
+        "run keys: footprint_mib work_scale epochs threads\n"
+        "          thermal_loop faults checkpoint retries fail_fast\n"
+        "          task_timeout deadline stats_out manifest_out\n"
+        "          quarantine_out trace_out trace_events progress\n"
+        "          perf_counters alloc_track metrics_out metrics_port\n"
+        "          sample_interval slo\n"
+        "command keys: trefp_s temp_c vdd_v input_set model\n"
+        "each run key is also a flag: --stats-out=<path>, --progress\n");
 }
 
 int
-dispatch(Cli &cli)
+dispatch(core::RunSession &session)
 {
-    if (cli.positional.empty()) {
+    const auto &args = session.positional();
+    if (args.empty()) {
         usage();
         return 1;
     }
-    const std::string &command = cli.positional[0];
-    const bool has_arg = cli.positional.size() > 1;
+    const std::string &command = args[0];
+    const bool has_arg = args.size() > 1;
 
     if (command == "profile" && has_arg)
-        return cmdProfile(cli, cli.positional[1]);
+        return cmdProfile(session, args[1]);
     if (command == "characterize" && has_arg)
-        return cmdCharacterize(cli, cli.positional[1]);
+        return cmdCharacterize(session, args[1]);
     if (command == "sweep" && has_arg)
-        return cmdSweep(cli, cli.positional[1]);
+        return cmdSweep(session, args[1]);
     if (command == "report" && has_arg)
-        return cmdReport(cli, cli.positional[1]);
+        return cmdReport(session, args[1]);
     if (command == "evaluate")
-        return cmdEvaluate(cli);
+        return cmdEvaluate(session);
     if (command == "predict" && has_arg)
-        return cmdPredict(cli, cli.positional[1]);
+        return cmdPredict(session, args[1]);
 
     usage();
     return 1;
@@ -509,123 +291,17 @@ dispatch(Cli &cli)
 int
 main(int argc, char **argv)
 {
-    // Install before any work starts so an early ^C already drains
-    // cooperatively instead of killing the process mid-write.
-    par::installSignalHandlers();
-    Cli cli(argc, argv);
+    core::RunSession session(argc, argv);
     int rc;
     try {
-        rc = dispatch(cli);
+        rc = dispatch(session);
     } catch (const par::CancelledError &e) {
         // Cooperative cancellation (signal or deadline) unwound the
-        // command. Fall through: in-flight tasks have drained and
-        // every artifact below is still written — partial but valid —
-        // with the manifest marked interrupted.
+        // command. The session still writes every artifact — partial
+        // but valid — with the manifest marked interrupted.
         DFAULT_WARN("run cancelled: ", e.what(),
                     "; writing partial artifacts");
         rc = 1;
     }
-
-    auto &inj = fi::Injector::instance();
-    if (inj.armed()) {
-        // Chaos hook for the drain path itself: lets CI check that a
-        // slow epilogue still survives a second signal (_Exit) and
-        // that a single signal waits for the artifacts.
-        inj.maybeStall("shutdown.slow_drain", 0);
-        for (const auto &[point, fired] : inj.firedCounts())
-            obs::Registry::instance()
-                .gauge("fi.fired." + point,
-                       "times this fault point fired")
-                .set(static_cast<double>(fired));
-    }
-
-    const auto &quarantine = cli.campaign->lastQuarantine();
-    std::string quarantine_path = cli.quarantineOut;
-    if (quarantine_path.empty() && !cli.statsOut.empty())
-        quarantine_path = cli.statsOut + ".quarantine.json";
-    if (!quarantine.empty() && !quarantine_path.empty()) {
-        if (!core::writeQuarantineFile(quarantine, quarantine_path))
-            DFAULT_FATAL("cannot write quarantine report to '",
-                         quarantine_path, "'");
-        DFAULT_INFORM(quarantine.size(),
-                      " quarantined cell(s); report written to ",
-                      quarantine_path);
-    }
-
-    if (cli.perfCounters)
-        obs::printPerfTable(stdout);
-
-    // Stop the sampler before the stats/manifest epilogue: stop() runs
-    // the final flush tick (last metrics snapshot, final SLO verdicts)
-    // and emits any closing slo_breach events while the sink is open.
-    auto &sampler = obs::Sampler::instance();
-    const bool sampled = sampler.running() || sampler.ticks() > 0;
-    sampler.stop();
-    if (sampled && !cli.metricsOut.empty())
-        DFAULT_INFORM("OpenMetrics snapshot written to ",
-                      cli.metricsOut);
-
-    if (!cli.statsOut.empty()) {
-        obs::Registry::instance().writeFile(cli.statsOut);
-        DFAULT_INFORM("stats written to ", cli.statsOut);
-    }
-
-    auto &tracer = obs::SpanTracer::instance();
-    if (tracer.enabled()) {
-        tracer.disable();
-        const auto entries = tracer.drain();
-        const auto rows = obs::exclusiveTimes(entries);
-        std::printf("\n");
-        obs::printCriticalPath(stdout, rows);
-        if (tracer.dropped() > 0)
-            DFAULT_WARN("span ring overflow: ", tracer.dropped(),
-                        " oldest trace entries dropped");
-        if (!obs::writeTraceFile(cli.traceEvents, entries))
-            DFAULT_FATAL("cannot write trace events to '",
-                         cli.traceEvents, "'");
-        DFAULT_INFORM("trace events written to ", cli.traceEvents,
-                      " (load in ui.perfetto.dev)");
-    }
-
-    // Provenance: every stats-producing run gets a manifest tying its
-    // artifacts to the exact configuration that made them.
-    std::string manifest_path = cli.manifestOut;
-    if (manifest_path.empty() && !cli.statsOut.empty())
-        manifest_path = cli.statsOut + ".manifest.json";
-    if (!manifest_path.empty()) {
-        obs::ManifestInfo info;
-        info.tool = "dfault";
-        info.command = cli.commandLine;
-        for (const std::string &key : cli.config.keys())
-            info.config.emplace_back(key,
-                                     cli.config.getString(key));
-        info.threads = par::Pool::global().threads();
-        info.statsPath = cli.statsOut;
-        info.tracePath = cli.traceEvents;
-        if (par::rootCancelToken().cancelled()) {
-            info.interrupted = true;
-            info.interruptReason = par::rootCancelToken().reason();
-        }
-        info.wallSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - cli.start)
-                .count();
-        if (sampled) {
-            info.metricsPath = cli.metricsOut;
-            info.samplerTicks = sampler.ticks();
-            info.sloSummaryJson = sampler.sloSummaryJson();
-        }
-        if (!obs::writeManifestFile(manifest_path, info))
-            DFAULT_FATAL("cannot write manifest to '", manifest_path,
-                         "'");
-        DFAULT_INFORM("run manifest written to ", manifest_path);
-    }
-    obs::EventSink::instance().close();
-    par::Pool::global().disableWatchdog();
-    par::uninstallSignalHandlers();
-    // Signal-driven runs exit with the conventional 128+signo so
-    // shells and CI can tell an interrupted run from a failed one.
-    if (par::shutdownExitCode() != 0)
-        return par::shutdownExitCode();
-    return rc;
+    return core::RunSession::exitCode(rc);
 }
