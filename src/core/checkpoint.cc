@@ -1,87 +1,24 @@
 #include "core/checkpoint.hh"
 
-#include <cinttypes>
-#include <cstdio>
-#include <filesystem>
+#include <limits>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
-#include "fi/durable.hh"
-#include "fi/injector.hh"
 #include "obs/json.hh"
 
 namespace dfault::core {
 
 namespace {
 
-constexpr int kCheckpointVersion = 1;
+constexpr obs::RecordKind kCellRecord = {
+    "cell", 6, "journal.cells_written", "sweep checkpoint cells written"};
 
-void
-hashDouble(std::uint64_t &hash, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g,", v);
-    hash = fnv1a64(buf, hash);
-}
+constexpr int kMinInt = std::numeric_limits<int>::min();
+constexpr int kMaxInt = std::numeric_limits<int>::max();
 
-void
-hashU64(std::uint64_t &hash, std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64 ",", v);
-    hash = fnv1a64(buf, hash);
-}
-
-void
-hashString(std::uint64_t &hash, const std::string &s)
-{
-    hash = fnv1a64(s, hash);
-    hash = fnv1a64(";", hash);
-}
-
-std::string
-digestHex(std::uint64_t digest)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, digest);
-    return buf;
-}
-
-std::string
-numberArrayJson(const std::vector<double> &values)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i > 0)
-            out += ',';
-        out += obs::jsonNumber(values[i]);
-    }
-    out += ']';
-    return out;
-}
-
-bool
-numberArrayFromJson(const obs::JsonValue *v, std::vector<double> &out)
-{
-    if (v == nullptr || !v->isArray())
-        return false;
-    out.clear();
-    out.reserve(v->array.size());
-    for (const obs::JsonValue &item : v->array) {
-        if (item.kind != obs::JsonValue::Kind::Number)
-            return false;
-        out.push_back(item.number);
-    }
-    return true;
-}
-
-const obs::JsonValue *
-requireNumber(const obs::JsonValue &doc, const char *key)
-{
-    const obs::JsonValue *v = doc.find(key);
-    return v != nullptr && v->kind == obs::JsonValue::Kind::Number ? v
-                                                                   : nullptr;
-}
+using obs::intFieldIn;
+using obs::numberArrayFromJson;
+using obs::numberArrayJson;
+using obs::numberField;
 
 } // namespace
 
@@ -90,57 +27,54 @@ sweepConfigDigest(const CharacterizationCampaign::Params &params,
                   const std::vector<workloads::WorkloadConfig> &suite,
                   const std::vector<dram::OperatingPoint> &points)
 {
-    std::uint64_t hash = kFnvOffset64;
-    hashString(hash, "dfault-sweep-v1");
+    obs::ConfigHash hash("dfault-sweep-v1;");
 
-    hashU64(hash, params.workload.footprintBytes);
-    hashU64(hash, params.workload.seed);
-    hashDouble(hash, params.workload.workScale);
+    hash.u64(params.workload.footprintBytes);
+    hash.u64(params.workload.seed);
+    hash.real(params.workload.workScale);
 
     const ErrorIntegrator::Params &ip = params.integrator;
-    hashDouble(hash, ip.epochLength);
-    hashU64(hash, static_cast<std::uint64_t>(ip.epochs));
-    hashDouble(hash, ip.exposureWords);
-    hashDouble(hash, ip.accessRefreshExponent);
-    hashU64(hash, ip.dataPatternVulnerability ? 1 : 0);
-    hashDouble(hash, ip.ueWordCoupling);
-    hashDouble(hash, ip.retention.mu);
-    hashDouble(hash, ip.retention.sigma);
-    hashDouble(hash, ip.retention.tempAlpha);
-    hashDouble(hash, ip.retention.vddGamma);
-    hashDouble(hash, ip.retention.refTemperature);
-    hashDouble(hash, ip.vrt.onRate);
-    hashDouble(hash, ip.vrt.offRate);
-    hashDouble(hash, ip.interference.strength);
-    hashDouble(hash, ip.interference.refActivations);
-    hashDouble(hash, ip.interference.maxDelta);
-    hashU64(hash, ip.seed);
+    hash.real(ip.epochLength);
+    hash.u64(static_cast<std::uint64_t>(ip.epochs));
+    hash.real(ip.exposureWords);
+    hash.real(ip.accessRefreshExponent);
+    hash.u64(ip.dataPatternVulnerability ? 1 : 0);
+    hash.real(ip.ueWordCoupling);
+    hash.real(ip.retention.mu);
+    hash.real(ip.retention.sigma);
+    hash.real(ip.retention.tempAlpha);
+    hash.real(ip.retention.vddGamma);
+    hash.real(ip.retention.refTemperature);
+    hash.real(ip.vrt.onRate);
+    hash.real(ip.vrt.offRate);
+    hash.real(ip.interference.strength);
+    hash.real(ip.interference.refActivations);
+    hash.real(ip.interference.maxDelta);
+    hash.u64(ip.seed);
 
-    hashU64(hash, params.useThermalLoop ? 1 : 0);
+    hash.u64(params.useThermalLoop ? 1 : 0);
 
-    hashU64(hash, suite.size());
+    hash.u64(suite.size());
     for (const workloads::WorkloadConfig &config : suite) {
-        hashString(hash, config.kernel);
-        hashU64(hash, static_cast<std::uint64_t>(config.threads));
-        hashString(hash, config.label);
+        hash.str(config.kernel);
+        hash.u64(static_cast<std::uint64_t>(config.threads));
+        hash.str(config.label);
     }
-    hashU64(hash, points.size());
+    hash.u64(points.size());
     for (const dram::OperatingPoint &op : points) {
-        hashDouble(hash, op.trefp);
-        hashDouble(hash, op.vdd);
-        hashDouble(hash, op.temperature);
+        hash.real(op.trefp);
+        hash.real(op.vdd);
+        hash.real(op.temperature);
     }
-    return hash;
+    return hash.value();
 }
 
 std::string
 checkpointCellJson(const CheckpointCell &cell, std::uint64_t digest)
 {
     const Measurement &m = cell.measurement;
-    obs::JsonWriter w;
-    w.field("checkpoint_version", kCheckpointVersion);
-    w.field("config_digest", digestHex(digest));
-    w.field("cell", static_cast<std::uint64_t>(cell.cell));
+    obs::JsonWriter w = obs::recordWriter(
+        kCellRecord, digest, static_cast<std::uint64_t>(cell.cell));
     w.field("label", m.label);
     w.field("threads", m.threads);
     w.fieldRaw("requested", numberArrayJson({m.requested.trefp,
@@ -165,60 +99,33 @@ checkpointCellJson(const CheckpointCell &cell, std::uint64_t digest)
     return w.str();
 }
 
+namespace {
+
+/** Body of a cell record; the envelope is already checked. */
 bool
-checkpointCellFromJson(const std::string &text, std::uint64_t digest,
-                       CheckpointCell &out, std::string *error)
+cellBodyFromJson(const obs::JsonValue &doc, CheckpointCell &parsed,
+                 std::string &error)
 {
-    const auto fail = [error](const std::string &msg) {
-        if (error != nullptr)
-            *error = msg;
+    const auto fail = [&error](const char *msg) {
+        error = msg;
         return false;
     };
-
-    std::string parse_error;
-    const auto doc = obs::jsonParse(text, &parse_error);
-    if (!doc)
-        return fail("bad JSON: " + parse_error);
-    if (!doc->isObject())
-        return fail("not a JSON object");
-
-    const obs::JsonValue *version = requireNumber(*doc, "checkpoint_version");
-    if (version == nullptr ||
-        static_cast<int>(version->number) != kCheckpointVersion)
-        return fail("missing or unsupported checkpoint_version");
-
-    const obs::JsonValue *cell_digest = doc->find("config_digest");
-    if (cell_digest == nullptr ||
-        cell_digest->kind != obs::JsonValue::Kind::String)
-        return fail("missing config_digest");
-    if (cell_digest->string != digestHex(digest))
-        return fail("config digest mismatch (cell written by a different "
-                    "campaign configuration): have " +
-                    cell_digest->string + ", want " + digestHex(digest));
-
-    const obs::JsonValue *cell_index = requireNumber(*doc, "cell");
-    const obs::JsonValue *label = doc->find("label");
-    const obs::JsonValue *threads = requireNumber(*doc, "threads");
-    if (cell_index == nullptr || cell_index->number < 0 ||
-        label == nullptr || label->kind != obs::JsonValue::Kind::String ||
-        threads == nullptr)
-        return fail("missing cell/label/threads");
-
-    CheckpointCell parsed;
-    parsed.cell = static_cast<std::size_t>(cell_index->number);
     Measurement &m = parsed.measurement;
+    const obs::JsonValue *label = doc.find("label");
+    if (label == nullptr || label->kind != obs::JsonValue::Kind::String ||
+        !intFieldIn(doc, "threads", kMinInt, kMaxInt, m.threads))
+        return fail("missing label/threads");
     m.label = label->string;
-    m.threads = static_cast<int>(threads->number);
 
     std::vector<double> op;
-    if (!numberArrayFromJson(doc->find("requested"), op) || op.size() != 3)
+    if (!numberArrayFromJson(doc.find("requested"), op) || op.size() != 3)
         return fail("bad requested operating point");
     m.requested = {op[0], op[1], op[2]};
-    if (!numberArrayFromJson(doc->find("achieved"), op) || op.size() != 3)
+    if (!numberArrayFromJson(doc.find("achieved"), op) || op.size() != 3)
         return fail("bad achieved operating point");
     m.achieved = {op[0], op[1], op[2]};
 
-    const obs::JsonValue *run = doc->find("run");
+    const obs::JsonValue *run = doc.find("run");
     if (run == nullptr || !run->isObject())
         return fail("missing run object");
     if (!numberArrayFromJson(run->find("wer_series"), m.run.werSeries) ||
@@ -228,41 +135,47 @@ checkpointCellFromJson(const std::string &text, std::uint64_t digest,
                              m.run.wordsPerDevice))
         return fail("bad run series arrays");
     const obs::JsonValue *crashed = run->find("crashed");
-    const obs::JsonValue *crash_epoch = requireNumber(*run, "crash_epoch");
-    const obs::JsonValue *crash_device = requireNumber(*run, "crash_device");
-    const obs::JsonValue *sdc = requireNumber(*run, "expected_sdc");
-    const obs::JsonValue *words = requireNumber(*run, "allocated_words");
+    const obs::JsonValue *sdc = numberField(*run, "expected_sdc");
+    const obs::JsonValue *words = numberField(*run, "allocated_words");
     if (crashed == nullptr || crashed->kind != obs::JsonValue::Kind::Bool ||
-        crash_epoch == nullptr || crash_device == nullptr ||
+        !intFieldIn(*run, "crash_epoch", kMinInt, kMaxInt,
+                    m.run.crashEpoch) ||
+        !intFieldIn(*run, "crash_device", kMinInt, kMaxInt,
+                    m.run.crashDevice) ||
         sdc == nullptr || words == nullptr)
         return fail("bad run scalar fields");
     m.run.crashed = crashed->boolean;
-    m.run.crashEpoch = static_cast<int>(crash_epoch->number);
-    m.run.crashDevice = static_cast<int>(crash_device->number);
     m.run.expectedSdc = sdc->number;
     m.run.allocatedWords = words->number;
 
-    const obs::JsonValue *ops = doc->find("stat_ops");
-    std::string ops_error;
-    if (ops == nullptr ||
-        !obs::statOpsFromJson(*ops, parsed.statOps, &ops_error))
-        return fail("bad stat_ops: " + ops_error);
+    return obs::statOpsField(doc, parsed.statOps, error);
+}
 
+} // namespace
+
+bool
+checkpointCellFromJson(const std::string &text, std::uint64_t digest,
+                       CheckpointCell &out, std::string *error)
+{
+    CheckpointCell parsed;
+    std::uint64_t index = 0;
+    if (!obs::decodeRecord(
+            text, kCellRecord, digest,
+            [&parsed](const obs::JsonValue &doc, std::string &e) {
+                return cellBodyFromJson(doc, parsed, e);
+            },
+            index, error))
+        return false;
+    parsed.cell = static_cast<std::size_t>(index);
     out = std::move(parsed);
     return true;
 }
 
 void
-CheckpointJournal::open(const std::string &dir, std::uint64_t digest)
+CheckpointJournal::open(const std::string &dir, std::uint64_t digest,
+                        obs::Registry *registry)
 {
-    DFAULT_ASSERT(!dir.empty(), "checkpoint journal needs a directory");
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        DFAULT_FATAL("cannot create checkpoint directory '", dir,
-                     "': ", ec.message());
-    dir_ = dir;
-    digest_ = digest;
+    records_.open(dir, digest, registry);
 }
 
 std::map<std::size_t, CheckpointCell>
@@ -271,37 +184,22 @@ CheckpointJournal::load(std::size_t totalCells) const
     std::map<std::size_t, CheckpointCell> cells;
     if (!enabled())
         return cells;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir_, ec);
-    if (ec) {
-        DFAULT_WARN("cannot list checkpoint directory '", dir_,
-                    "': ", ec.message());
-        return cells;
-    }
-    for (const auto &entry : it) {
-        if (!entry.is_regular_file())
-            continue;
-        const std::string name = entry.path().filename().string();
-        if (!name.starts_with("cell-") || !name.ends_with(".json"))
-            continue;
-        const std::string path = entry.path().string();
-        std::string error;
-        const auto body = fi::readFile(path, &error);
-        if (!body) {
-            DFAULT_WARN("checkpoint: skipping ", path, ": ", error);
+    for (const std::uint64_t index : records_.list(kCellRecord)) {
+        if (index >= totalCells) {
+            DFAULT_WARN("checkpoint: skipping ",
+                        records_.path(kCellRecord, index), ": cell ",
+                        index, " out of range (sweep has ", totalCells,
+                        " cells)");
             continue;
         }
         CheckpointCell cell;
-        if (!checkpointCellFromJson(*body, digest_, cell, &error)) {
-            DFAULT_WARN("checkpoint: skipping ", path, ": ", error);
+        if (!records_.read(kCellRecord, index,
+                           [&cell](const obs::JsonValue &doc,
+                                   std::string &e) {
+                               return cellBodyFromJson(doc, cell, e);
+                           }))
             continue;
-        }
-        if (cell.cell >= totalCells) {
-            DFAULT_WARN("checkpoint: skipping ", path, ": cell ",
-                        cell.cell, " out of range (sweep has ",
-                        totalCells, " cells)");
-            continue;
-        }
+        cell.cell = static_cast<std::size_t>(index);
         cells[cell.cell] = std::move(cell);
     }
     return cells;
@@ -311,22 +209,8 @@ bool
 CheckpointJournal::store(const CheckpointCell &cell) const
 {
     DFAULT_ASSERT(enabled(), "store() on a disabled checkpoint journal");
-    const std::string path = cellPath(cell.cell);
-    if (!fi::atomicWriteFile(path,
-                             checkpointCellJson(cell, digest_) + "\n")) {
-        DFAULT_WARN("checkpoint: failed to journal cell ", cell.cell,
-                    " to ", path, "; it will be re-measured on resume");
-        return false;
-    }
-    return true;
-}
-
-std::string
-CheckpointJournal::cellPath(std::size_t cell) const
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "cell-%06zu.json", cell);
-    return dir_ + "/" + name;
+    return records_.write(kCellRecord, cell.cell,
+                          checkpointCellJson(cell, records_.digest()));
 }
 
 } // namespace dfault::core

@@ -3,20 +3,20 @@
  * Sweep checkpoint journal.
  *
  * A characterization sweep with a checkpoint directory journals every
- * completed (workload, operating point) cell as one small JSON file,
- * written atomically (fi::atomicWriteFile), so a campaign killed at
- * any instant leaves only complete cells behind. On resume the journal
- * is loaded, valid cells are skipped, and their *deferred stat ops*
+ * completed (workload, operating point) cell as one record
+ * (`cell-NNNNNN.json`) of an obs::RecordDir, which owns the file
+ * format, atomic writes, the config-digest guard and quarantine of
+ * invalid records (obs/record_dir.hh). On resume the journal is
+ * loaded, valid cells are skipped, and their *deferred stat ops*
  * (obs/deferral.hh) are replayed in cell order — the resumed run
  * reaches a stats digest bit-identical to an uninterrupted one.
  *
- * Every cell file carries the sweep's config digest: a hash of all
- * campaign parameters that define the results (workload params,
- * integrator params, thermal flag, suite, operating points). A cell
- * journaled by a different configuration — or a truncated, garbage or
- * wrong-version file — is warned about and re-measured, never trusted.
- * The digest deliberately excludes the thread count: a sweep may be
- * resumed with a different DFAULT_THREADS and still verify.
+ * The config digest hashes all campaign parameters that define the
+ * results (workload params, integrator params, thermal flag, suite,
+ * operating points) and deliberately excludes the thread count: a
+ * sweep may be resumed with a different DFAULT_THREADS and still
+ * verify. Cells are independent, so an invalid one costs only its own
+ * re-measurement.
  */
 
 #ifndef DFAULT_CORE_CHECKPOINT_HH
@@ -29,6 +29,7 @@
 
 #include "core/characterization.hh"
 #include "obs/deferral.hh"
+#include "obs/record_dir.hh"
 
 namespace dfault::core {
 
@@ -46,13 +47,13 @@ struct CheckpointCell
     std::vector<obs::StatOp> statOps;
 };
 
-/** Serialize a cell (with the sweep digest) to one JSON document. */
+/** Serialize a cell as one record document for the sweep @p digest. */
 std::string checkpointCellJson(const CheckpointCell &cell,
                                std::uint64_t digest);
 
 /**
  * Parse a checkpointCellJson() document. Returns false and sets
- * @p error when the document is malformed, has the wrong version, or
+ * @p error when the document is malformed, is not a cell record, or
  * carries a digest other than @p digest.
  */
 bool checkpointCellFromJson(const std::string &text, std::uint64_t digest,
@@ -63,18 +64,18 @@ class CheckpointJournal
 {
   public:
     /**
-     * Bind to @p dir (created, parents included, when missing) for a
-     * sweep whose config hashes to @p digest. Fatal when the
-     * directory cannot be created: a checkpointed campaign that
-     * cannot checkpoint is a user-visible configuration error.
+     * Bind to @p dir for a sweep whose config hashes to @p digest
+     * (obs::RecordDir::open: fatal when the directory cannot be
+     * created). @p registry receives the journal.* stats.
      */
-    void open(const std::string &dir, std::uint64_t digest);
+    void open(const std::string &dir, std::uint64_t digest,
+              obs::Registry *registry = nullptr);
 
-    bool enabled() const { return !dir_.empty(); }
+    bool enabled() const { return records_.enabled(); }
 
     /**
-     * Load every valid cell with index < @p totalCells. Corrupt,
-     * mismatched and out-of-range files are warned about and skipped.
+     * Load every valid cell with index < @p totalCells. Invalid files
+     * are quarantined; out-of-range ones are warned about and skipped.
      */
     std::map<std::size_t, CheckpointCell> load(std::size_t totalCells) const;
 
@@ -86,10 +87,7 @@ class CheckpointJournal
     bool store(const CheckpointCell &cell) const;
 
   private:
-    std::string cellPath(std::size_t cell) const;
-
-    std::string dir_;
-    std::uint64_t digest_ = 0;
+    obs::RecordDir records_;
 };
 
 } // namespace dfault::core

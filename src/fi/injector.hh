@@ -42,9 +42,10 @@
  * epilogue), serve.slow / serve.error / serve.reject
  * (serve::PredictionService, keyed by submission id), serve.kill
  * (_Exit between the tick commit and its journal write, keyed by
- * tick), journal.write / journal.torn_segment (the serve write-ahead
- * journal record write fails outright / lands half-written, keyed by
- * tick; serve/journal.hh). task.stall was named campaign.hang before
+ * tick), journal.write / journal.torn_segment (any journal record
+ * write — sweep cell, serve segment or snapshot — fails outright /
+ * lands half-written, keyed by the record index; obs/record_dir.hh).
+ * task.stall was named campaign.hang before
  * it gained real stall semantics (it used to throw; see
  * docs/robustness.md).
  */

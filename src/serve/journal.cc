@@ -1,17 +1,10 @@
 #include "serve/journal.hh"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <filesystem>
+#include <iterator>
 #include <limits>
-#include <map>
-#include <optional>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
-#include "fi/durable.hh"
-#include "fi/injector.hh"
 #include "obs/json.hh"
 #include "obs/stats.hh"
 
@@ -19,69 +12,10 @@ namespace dfault::serve {
 
 namespace {
 
-constexpr int kJournalVersion = 1;
-
-void
-hashDouble(std::uint64_t &hash, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g,", v);
-    hash = fnv1a64(buf, hash);
-}
-
-void
-hashU64(std::uint64_t &hash, std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64 ",", v);
-    hash = fnv1a64(buf, hash);
-}
-
-std::string
-digestHex(std::uint64_t digest)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, digest);
-    return buf;
-}
-
-/**
- * The serve.* counters a record replays, with the same descriptions
- * the service registers so applyStatOps lands on the same families.
- */
-struct CounterField
-{
-    const char *name;
-    const char *description;
-    std::uint64_t CounterBlock::*field;
-};
-
-constexpr CounterField kCounterFields[] = {
-    {"serve.submitted", "prediction requests submitted",
-     &CounterBlock::submitted},
-    {"serve.served", "requests answered by the primary model",
-     &CounterBlock::served},
-    {"serve.degraded",
-     "requests answered from the degraded path (LKG / fallback)",
-     &CounterBlock::degraded},
-    {"serve.shed", "requests shed (admission or eviction)",
-     &CounterBlock::shed},
-    {"serve.shed.critical",
-     "requests shed in the critical priority class",
-     &CounterBlock::shedCritical},
-    {"serve.shed.health", "requests shed in the health priority class",
-     &CounterBlock::shedHealth},
-    {"serve.shed.bulk", "requests shed in the bulk priority class",
-     &CounterBlock::shedBulk},
-    {"serve.breaker.opened", "circuit breaker open transitions",
-     &CounterBlock::breakerOpened},
-    {"serve.breaker.half_open", "circuit breaker half-open transitions",
-     &CounterBlock::breakerHalfOpened},
-    {"serve.breaker.closed",
-     "circuit breaker recoveries (half-open -> closed)",
-     &CounterBlock::breakerClosed},
-    {"serve.ticks", "service ticks run", &CounterBlock::ticks},
-};
+constexpr obs::RecordKind kSegmentRecord = {
+    "seg", 8, "journal.segments_written", "tick segments written"};
+constexpr obs::RecordKind kSnapshotRecord = {
+    "snap", 8, "journal.snapshots_written", "compacted snapshots written"};
 
 std::string
 requestJson(const JournalRequest &r)
@@ -92,49 +26,12 @@ requestJson(const JournalRequest &r)
     w.field("pri", r.priority);
     w.field("shard", r.shard);
     w.field("enq", r.enqueueTick);
-    std::string features = "[";
-    for (std::size_t i = 0; i < r.features.size(); ++i) {
-        if (i > 0)
-            features += ',';
-        features += obs::jsonNumber(r.features[i]);
-    }
-    features += ']';
-    w.fieldRaw("features", features);
+    w.fieldRaw("features", obs::numberArrayJson(r.features));
     return w.str();
 }
 
-const obs::JsonValue *
-requireNumber(const obs::JsonValue &doc, const char *key)
-{
-    const obs::JsonValue *v = doc.find(key);
-    return v != nullptr && v->kind == obs::JsonValue::Kind::Number
-               ? v
-               : nullptr;
-}
-
-bool
-u64Field(const obs::JsonValue &doc, const char *key, std::uint64_t &out)
-{
-    const obs::JsonValue *v = requireNumber(doc, key);
-    if (v == nullptr || v->number < 0)
-        return false;
-    out = static_cast<std::uint64_t>(v->number);
-    return true;
-}
-
-bool
-intFieldIn(const obs::JsonValue &doc, const char *key, int lo, int hi,
-           int &out)
-{
-    const obs::JsonValue *v = requireNumber(doc, key);
-    if (v == nullptr)
-        return false;
-    const int value = static_cast<int>(v->number);
-    if (value < lo || value > hi)
-        return false;
-    out = value;
-    return true;
-}
+using obs::intFieldIn;
+using obs::u64Field;
 
 bool
 requestFromJson(const obs::JsonValue &v, JournalRequest &out)
@@ -147,15 +44,8 @@ requestFromJson(const obs::JsonValue &v, JournalRequest &out)
         !intFieldIn(v, "shard", 0, 1 << 20, r.shard) ||
         !u64Field(v, "enq", r.enqueueTick))
         return false;
-    const obs::JsonValue *features = v.find("features");
-    if (features == nullptr || !features->isArray())
+    if (!obs::numberArrayFromJson(v.find("features"), r.features))
         return false;
-    r.features.reserve(features->array.size());
-    for (const obs::JsonValue &f : features->array) {
-        if (f.kind != obs::JsonValue::Kind::Number)
-            return false;
-        r.features.push_back(f.number);
-    }
     out = std::move(r);
     return true;
 }
@@ -283,129 +173,90 @@ arrayFromJson(const obs::JsonValue *v, Fn &&itemFromJson,
     return true;
 }
 
-/** Shared header + body fields of both record kinds. */
-void
-recordHeader(obs::JsonWriter &w, const char *kind, std::uint64_t tick,
-             std::uint64_t nextId, std::uint64_t digest)
+bool
+segmentBodyFromJson(const obs::JsonValue &doc, JournalSegment &seg,
+                    std::string &error)
 {
-    w.field("journal_version", kJournalVersion);
-    w.field("kind", kind);
-    w.field("config_digest", digestHex(digest));
-    w.field("tick", tick);
-    w.field("next_id", nextId);
+    const auto fail = [&error](const char *msg) {
+        error = msg;
+        return false;
+    };
+    if (!u64Field(doc, "next_id", seg.nextId))
+        return fail("missing next_id");
+    if (!arrayFromJson(doc.find("admitted"), requestFromJson,
+                       seg.admitted))
+        return fail("bad admitted array");
+    if (!arrayFromJson(doc.find("responses"), responseFromJson,
+                       seg.responses))
+        return fail("bad responses array");
+    if (!arrayFromJson(doc.find("breakers"), breakerFromJson,
+                       seg.breakers))
+        return fail("bad breakers array");
+    return obs::statOpsField(doc, seg.statOps, error);
 }
 
 bool
-recordHeaderFromJson(const obs::JsonValue &doc, const char *kind,
-                     std::uint64_t digest, std::uint64_t &tick,
-                     std::uint64_t &nextId, std::string &error)
+lkgFromJson(const obs::JsonValue &v, std::pair<std::uint64_t, double> &kv)
 {
-    const obs::JsonValue *version = requireNumber(doc, "journal_version");
-    if (version == nullptr ||
-        static_cast<int>(version->number) != kJournalVersion) {
-        error = "missing or unsupported journal_version";
+    if (!v.isArray() || v.array.size() != 2 ||
+        v.array[0].kind != obs::JsonValue::Kind::Number ||
+        v.array[1].kind != obs::JsonValue::Kind::Number ||
+        v.array[0].number < 0)
         return false;
-    }
-    const obs::JsonValue *k = doc.find("kind");
-    if (k == nullptr || k->kind != obs::JsonValue::Kind::String ||
-        k->string != kind) {
-        error = std::string("record kind is not '") + kind + "'";
-        return false;
-    }
-    const obs::JsonValue *d = doc.find("config_digest");
-    if (d == nullptr || d->kind != obs::JsonValue::Kind::String) {
-        error = "missing config_digest";
-        return false;
-    }
-    if (d->string != digestHex(digest)) {
-        error = "config digest mismatch (record written by a different "
-                "serving configuration): have " +
-                d->string + ", want " + digestHex(digest);
-        return false;
-    }
-    if (!u64Field(doc, "tick", tick) || !u64Field(doc, "next_id", nextId)) {
-        error = "missing tick/next_id";
-        return false;
-    }
+    kv.first = static_cast<std::uint64_t>(v.array[0].number);
+    kv.second = v.array[1].number;
     return true;
 }
 
-/** Tick parsed from `seg-NNNNNNNN.json` / `snap-NNNNNNNN.json`. */
-std::optional<std::uint64_t>
-tickFromName(const std::string &name, const char *prefix)
+bool
+snapshotBodyFromJson(const obs::JsonValue &doc, JournalSnapshot &snap,
+                     std::string &error)
 {
-    const std::string_view pre(prefix);
-    if (name.size() != pre.size() + 8 + 5 || !name.starts_with(pre) ||
-        !name.ends_with(".json"))
-        return std::nullopt;
-    std::uint64_t tick = 0;
-    for (std::size_t i = pre.size(); i < pre.size() + 8; ++i) {
-        if (name[i] < '0' || name[i] > '9')
-            return std::nullopt;
-        tick = tick * 10 + static_cast<std::uint64_t>(name[i] - '0');
-    }
-    return tick;
+    const auto fail = [&error](const char *msg) {
+        error = msg;
+        return false;
+    };
+    if (!u64Field(doc, "next_id", snap.nextId))
+        return fail("missing next_id");
+    if (!arrayFromJson(doc.find("queued"), requestFromJson, snap.queued))
+        return fail("bad queued array");
+    if (!arrayFromJson(doc.find("responses"), responseFromJson,
+                       snap.responses))
+        return fail("bad responses array");
+    if (!arrayFromJson(doc.find("breakers"), breakerFromJson,
+                       snap.breakers))
+        return fail("bad breakers array");
+    if (!arrayFromJson(doc.find("lkg"), lkgFromJson, snap.lastKnownGood))
+        return fail("bad lkg array");
+    return obs::statOpsField(doc, snap.statOps, error);
 }
 
 } // namespace
 
-std::vector<obs::StatOp>
-counterBlockOps(const CounterBlock &block)
-{
-    std::vector<obs::StatOp> ops;
-    for (const CounterField &f : kCounterFields) {
-        const std::uint64_t value = block.*(f.field);
-        if (value == 0)
-            continue;
-        obs::StatOp op;
-        op.kind = obs::StatOp::Kind::CounterInc;
-        op.name = f.name;
-        op.description = f.description;
-        op.value = static_cast<double>(value);
-        ops.push_back(std::move(op));
-    }
-    return ops;
-}
-
-void
-counterBlockAdd(CounterBlock &block, const std::vector<obs::StatOp> &ops)
-{
-    for (const obs::StatOp &op : ops) {
-        if (op.kind != obs::StatOp::Kind::CounterInc)
-            continue;
-        for (const CounterField &f : kCounterFields)
-            if (op.name == f.name) {
-                block.*(f.field) += static_cast<std::uint64_t>(op.value);
-                break;
-            }
-    }
-}
-
 std::uint64_t
 journalConfigDigest(const Params &params)
 {
-    std::uint64_t hash = kFnvOffset64;
-    hash = fnv1a64("dfault-serve-journal-v1,", hash);
-    hashU64(hash, params.queueCapacity);
-    hashU64(hash, params.budgetPerTick);
-    hashU64(hash, params.degradeAfterTicks);
-    hashU64(hash, static_cast<std::uint64_t>(params.shards));
-    hashU64(hash, static_cast<std::uint64_t>(params.maxRetries));
+    obs::ConfigHash hash("dfault-serve-journal-v1,");
+    hash.u64(params.queueCapacity);
+    hash.u64(params.budgetPerTick);
+    hash.u64(params.degradeAfterTicks);
+    hash.u64(static_cast<std::uint64_t>(params.shards));
+    hash.u64(static_cast<std::uint64_t>(params.maxRetries));
     const BreakerParams &b = params.breaker;
-    hashU64(hash, static_cast<std::uint64_t>(b.consecutiveFailures));
-    hashDouble(hash, b.errorRateThreshold);
-    hashU64(hash, static_cast<std::uint64_t>(b.errorRateWindow));
-    hashU64(hash, static_cast<std::uint64_t>(b.cooldownTicks));
-    hashU64(hash, static_cast<std::uint64_t>(b.halfOpenProbes));
-    hashU64(hash, params.journalSalt);
-    return hash;
+    hash.u64(static_cast<std::uint64_t>(b.consecutiveFailures));
+    hash.real(b.errorRateThreshold);
+    hash.u64(static_cast<std::uint64_t>(b.errorRateWindow));
+    hash.u64(static_cast<std::uint64_t>(b.cooldownTicks));
+    hash.u64(static_cast<std::uint64_t>(b.halfOpenProbes));
+    hash.u64(params.journalSalt);
+    return hash.value();
 }
 
 std::string
 journalSegmentJson(const JournalSegment &seg, std::uint64_t digest)
 {
-    obs::JsonWriter w;
-    recordHeader(w, "segment", seg.tick, seg.nextId, digest);
+    obs::JsonWriter w = obs::recordWriter(kSegmentRecord, digest, seg.tick);
+    w.field("next_id", seg.nextId);
     w.fieldRaw("admitted", arrayJson(seg.admitted, requestJson));
     w.fieldRaw("responses", arrayJson(seg.responses, responseJson));
     w.fieldRaw("breakers", arrayJson(seg.breakers, breakerJson));
@@ -417,37 +268,14 @@ bool
 journalSegmentFromJson(const std::string &text, std::uint64_t digest,
                        JournalSegment &out, std::string *error)
 {
-    const auto fail = [error](const std::string &msg) {
-        if (error != nullptr)
-            *error = msg;
-        return false;
-    };
-    std::string parse_error;
-    const auto doc = obs::jsonParse(text, &parse_error);
-    if (!doc)
-        return fail("bad JSON: " + parse_error);
-    if (!doc->isObject())
-        return fail("not a JSON object");
-
     JournalSegment parsed;
-    std::string header_error;
-    if (!recordHeaderFromJson(*doc, "segment", digest, parsed.tick,
-                              parsed.nextId, header_error))
-        return fail(header_error);
-    if (!arrayFromJson(doc->find("admitted"), requestFromJson,
-                       parsed.admitted))
-        return fail("bad admitted array");
-    if (!arrayFromJson(doc->find("responses"), responseFromJson,
-                       parsed.responses))
-        return fail("bad responses array");
-    if (!arrayFromJson(doc->find("breakers"), breakerFromJson,
-                       parsed.breakers))
-        return fail("bad breakers array");
-    const obs::JsonValue *ops = doc->find("stat_ops");
-    std::string ops_error;
-    if (ops == nullptr ||
-        !obs::statOpsFromJson(*ops, parsed.statOps, &ops_error))
-        return fail("bad stat_ops: " + ops_error);
+    if (!obs::decodeRecord(
+            text, kSegmentRecord, digest,
+            [&parsed](const obs::JsonValue &doc, std::string &e) {
+                return segmentBodyFromJson(doc, parsed, e);
+            },
+            parsed.tick, error))
+        return false;
     out = std::move(parsed);
     return true;
 }
@@ -455,8 +283,9 @@ journalSegmentFromJson(const std::string &text, std::uint64_t digest,
 std::string
 journalSnapshotJson(const JournalSnapshot &snap, std::uint64_t digest)
 {
-    obs::JsonWriter w;
-    recordHeader(w, "snapshot", snap.tick, snap.nextId, digest);
+    obs::JsonWriter w =
+        obs::recordWriter(kSnapshotRecord, digest, snap.tick);
+    w.field("next_id", snap.nextId);
     w.fieldRaw("queued", arrayJson(snap.queued, requestJson));
     w.fieldRaw("responses", arrayJson(snap.responses, responseJson));
     w.fieldRaw("breakers", arrayJson(snap.breakers, breakerJson));
@@ -474,51 +303,14 @@ bool
 journalSnapshotFromJson(const std::string &text, std::uint64_t digest,
                         JournalSnapshot &out, std::string *error)
 {
-    const auto fail = [error](const std::string &msg) {
-        if (error != nullptr)
-            *error = msg;
-        return false;
-    };
-    std::string parse_error;
-    const auto doc = obs::jsonParse(text, &parse_error);
-    if (!doc)
-        return fail("bad JSON: " + parse_error);
-    if (!doc->isObject())
-        return fail("not a JSON object");
-
     JournalSnapshot parsed;
-    std::string header_error;
-    if (!recordHeaderFromJson(*doc, "snapshot", digest, parsed.tick,
-                              parsed.nextId, header_error))
-        return fail(header_error);
-    if (!arrayFromJson(doc->find("queued"), requestFromJson,
-                       parsed.queued))
-        return fail("bad queued array");
-    if (!arrayFromJson(doc->find("responses"), responseFromJson,
-                       parsed.responses))
-        return fail("bad responses array");
-    if (!arrayFromJson(doc->find("breakers"), breakerFromJson,
-                       parsed.breakers))
-        return fail("bad breakers array");
-    const auto lkgFromJson = [](const obs::JsonValue &v,
-                                std::pair<std::uint64_t, double> &kv) {
-        if (!v.isArray() || v.array.size() != 2 ||
-            v.array[0].kind != obs::JsonValue::Kind::Number ||
-            v.array[1].kind != obs::JsonValue::Kind::Number ||
-            v.array[0].number < 0)
-            return false;
-        kv.first = static_cast<std::uint64_t>(v.array[0].number);
-        kv.second = v.array[1].number;
-        return true;
-    };
-    if (!arrayFromJson(doc->find("lkg"), lkgFromJson,
-                       parsed.lastKnownGood))
-        return fail("bad lkg array");
-    const obs::JsonValue *ops = doc->find("stat_ops");
-    std::string ops_error;
-    if (ops == nullptr ||
-        !obs::statOpsFromJson(*ops, parsed.statOps, &ops_error))
-        return fail("bad stat_ops: " + ops_error);
+    if (!obs::decodeRecord(
+            text, kSnapshotRecord, digest,
+            [&parsed](const obs::JsonValue &doc, std::string &e) {
+                return snapshotBodyFromJson(doc, parsed, e);
+            },
+            parsed.tick, error))
+        return false;
     out = std::move(parsed);
     return true;
 }
@@ -527,152 +319,40 @@ void
 WriteAheadJournal::open(const std::string &dir, std::uint64_t digest,
                         obs::Registry *registry)
 {
-    DFAULT_ASSERT(!dir.empty(), "write-ahead journal needs a directory");
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        DFAULT_FATAL("cannot create journal directory '", dir,
-                     "': ", ec.message());
-    dir_ = dir;
-    digest_ = digest;
-    registry_ =
-        registry != nullptr ? registry : &obs::Registry::instance();
-}
-
-std::string
-WriteAheadJournal::segmentPath(std::uint64_t tick) const
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "seg-%08" PRIu64 ".json", tick);
-    return dir_ + "/" + name;
-}
-
-std::string
-WriteAheadJournal::snapshotPath(std::uint64_t tick) const
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "snap-%08" PRIu64 ".json", tick);
-    return dir_ + "/" + name;
-}
-
-bool
-WriteAheadJournal::writeRecord(const std::string &path, std::string body,
-                               std::uint64_t tick, bool snapshot)
-{
-    auto &inj = fi::Injector::instance();
-    if (inj.armed() && inj.shouldFire("journal.write", tick)) {
-        DFAULT_WARN("journal: injected write failure for tick ", tick,
-                    " (journal.write); the tick stays non-durable and "
-                    "folds into the next record");
-        registry_->counter("journal.write_failures",
-                           "journal records that failed to land")
-            .inc();
-        return false;
-    }
-    // journal.torn_segment models the write the loader's quarantine
-    // path exists for: the process believes the record landed (so it
-    // resets its delta), but only half the body survived.
-    if (inj.armed() && inj.shouldFire("journal.torn_segment", tick)) {
-        DFAULT_WARN("journal: injected torn record for tick ", tick,
-                    " (journal.torn_segment)");
-        body.resize(body.size() / 2);
-    }
-    if (!fi::atomicWriteFile(path, body)) {
-        DFAULT_WARN("journal: failed to write ", path,
-                    "; the tick stays non-durable and folds into the "
-                    "next record");
-        registry_->counter("journal.write_failures",
-                           "journal records that failed to land")
-            .inc();
-        return false;
-    }
-    registry_
-        ->counter(snapshot ? "journal.snapshots_written"
-                           : "journal.segments_written",
-                  snapshot ? "compacted snapshots written"
-                           : "tick segments written")
-        .inc();
-    return true;
+    records_.open(dir, digest, registry);
 }
 
 bool
 WriteAheadJournal::writeSegment(const JournalSegment &seg)
 {
     DFAULT_ASSERT(enabled(), "writeSegment() on a disabled journal");
-    return writeRecord(segmentPath(seg.tick),
-                       journalSegmentJson(seg, digest_) + "\n", seg.tick,
-                       false);
+    return records_.write(kSegmentRecord, seg.tick,
+                          journalSegmentJson(seg, records_.digest()));
 }
 
 bool
 WriteAheadJournal::writeSnapshot(const JournalSnapshot &snap)
 {
     DFAULT_ASSERT(enabled(), "writeSnapshot() on a disabled journal");
-    if (!writeRecord(snapshotPath(snap.tick),
-                     journalSnapshotJson(snap, digest_) + "\n", snap.tick,
-                     true))
+    if (!records_.write(kSnapshotRecord, snap.tick,
+                        journalSnapshotJson(snap, records_.digest())))
         return false;
     // Keep two snapshots (a torn newest one falls back to the
-    // previous), retire everything the older retained one subsumes.
-    std::uint64_t prev = 0;
-    bool havePrev = false;
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir_, ec)) {
-        if (!entry.is_regular_file())
-            continue;
-        const auto tick =
-            tickFromName(entry.path().filename().string(), "snap-");
-        if (tick && *tick < snap.tick && (!havePrev || *tick > prev)) {
-            prev = *tick;
-            havePrev = true;
-        }
-    }
-    if (havePrev)
-        compact(prev);
+    // previous) and retire everything the older retained one
+    // subsumes.
+    const std::vector<std::uint64_t> snaps = records_.list(kSnapshotRecord);
+    const auto newer =
+        std::lower_bound(snaps.begin(), snaps.end(), snap.tick);
+    if (newer == snaps.begin())
+        return true;
+    const std::uint64_t keep = *std::prev(newer);
+    for (const std::uint64_t tick : records_.list(kSegmentRecord))
+        if (tick <= keep)
+            records_.retire(kSegmentRecord, tick);
+    for (const std::uint64_t tick : snaps)
+        if (tick < keep)
+            records_.retire(kSnapshotRecord, tick);
     return true;
-}
-
-void
-WriteAheadJournal::compact(std::uint64_t keepAfterTick)
-{
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir_, ec);
-    if (ec)
-        return;
-    std::vector<std::filesystem::path> retire;
-    for (const auto &entry : it) {
-        if (!entry.is_regular_file())
-            continue;
-        const std::string name = entry.path().filename().string();
-        const auto segTick = tickFromName(name, "seg-");
-        const auto snapTick = tickFromName(name, "snap-");
-        if ((segTick && *segTick <= keepAfterTick) ||
-            (snapTick && *snapTick < keepAfterTick))
-            retire.push_back(entry.path());
-    }
-    for (const auto &path : retire) {
-        std::filesystem::remove(path, ec);
-        if (ec)
-            DFAULT_WARN("journal: cannot retire ", path.string(), ": ",
-                        ec.message());
-    }
-}
-
-void
-WriteAheadJournal::quarantine(const std::string &path,
-                              const std::string &reason)
-{
-    DFAULT_WARN("journal: quarantining ", path, ": ", reason);
-    registry_
-        ->counter("journal.quarantined_files",
-                  "invalid journal records quarantined at restore")
-        .inc();
-    std::error_code ec;
-    std::filesystem::rename(path, path + ".quarantined", ec);
-    if (ec)
-        DFAULT_WARN("journal: cannot rename ", path,
-                    " aside: ", ec.message());
 }
 
 WriteAheadJournal::Restored
@@ -681,47 +361,26 @@ WriteAheadJournal::load()
     Restored out;
     DFAULT_ASSERT(enabled(), "load() on a disabled journal");
 
-    std::map<std::uint64_t, std::string> snaps;
-    std::map<std::uint64_t, std::string> segs;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir_, ec);
-    if (ec) {
-        DFAULT_WARN("journal: cannot list '", dir_, "': ", ec.message());
-        return out;
-    }
-    for (const auto &entry : it) {
-        if (!entry.is_regular_file())
-            continue;
-        const std::string name = entry.path().filename().string();
-        if (const auto tick = tickFromName(name, "snap-"))
-            snaps[*tick] = entry.path().string();
-        else if (const auto tick2 = tickFromName(name, "seg-"))
-            segs[*tick2] = entry.path().string();
-    }
-
     // Newest valid snapshot wins; an invalid one is quarantined and
     // replay must stop *before* its tick even when an older snapshot
     // is usable — the corrupt snapshot was that tick's only record.
     std::uint64_t stopBefore = ~0ULL;
-    for (auto sit = snaps.rbegin(); sit != snaps.rend(); ++sit) {
-        std::string error;
-        const auto body = fi::readFile(sit->second, &error);
+    const std::vector<std::uint64_t> snaps = records_.list(kSnapshotRecord);
+    for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
         JournalSnapshot snap;
-        if (!body ||
-            !journalSnapshotFromJson(*body, digest_, snap, &error)) {
-            quarantine(sit->second, error);
-            stopBefore = sit->first;
+        if (!records_.read(kSnapshotRecord, *it,
+                           [&snap](const obs::JsonValue &doc,
+                                   std::string &e) {
+                               return snapshotBodyFromJson(doc, snap, e);
+                           })) {
+            stopBefore = *it;
             continue;
         }
-        if (snap.tick != sit->first) {
-            quarantine(sit->second, "tick in body does not match name");
-            stopBefore = sit->first;
-            continue;
-        }
+        snap.tick = *it;
         out.hasSnapshot = true;
         out.snapshot = std::move(snap);
         out.any = true;
-        out.tick = sit->first;
+        out.tick = *it;
         break;
     }
 
@@ -729,35 +388,33 @@ WriteAheadJournal::load()
     // benign (that record's write failed and its delta folded into the
     // next one); a present-but-invalid record is data loss and replay
     // stops at the record before it.
-    for (const auto &[tick, path] : segs) {
+    for (const std::uint64_t tick : records_.list(kSegmentRecord)) {
         if (out.hasSnapshot && tick <= out.snapshot.tick)
             continue;
         if (tick >= stopBefore)
             break;
-        std::string error;
-        const auto body = fi::readFile(path, &error);
         JournalSegment seg;
-        if (!body || !journalSegmentFromJson(*body, digest_, seg, &error)) {
-            quarantine(path, error);
+        if (!records_.read(kSegmentRecord, tick,
+                           [&seg](const obs::JsonValue &doc,
+                                  std::string &e) {
+                               return segmentBodyFromJson(doc, seg, e);
+                           }))
             break;
-        }
-        if (seg.tick != tick) {
-            quarantine(path, "tick in body does not match name");
-            break;
-        }
+        seg.tick = tick;
         out.segments.push_back(std::move(seg));
         out.any = true;
         out.tick = tick;
     }
 
     if (out.any) {
-        registry_
-            ->counter("journal.replayed_segments",
-                      "journal segments replayed at restore")
+        obs::Registry &registry = records_.registry();
+        registry
+            .counter("journal.replayed_segments",
+                     "journal segments replayed at restore")
             .inc(out.segments.size());
-        registry_
-            ->gauge("journal.restored_tick",
-                    "tick the service was restored to")
+        registry
+            .gauge("journal.restored_tick",
+                   "tick the service was restored to")
             .set(static_cast<double>(out.tick));
     }
     return out;

@@ -4,14 +4,17 @@
  *
  * The fleet service runs for days; a crashed predictor has to come
  * back without losing answered work or forgetting its view of the
- * fleet (ROADMAP item 2). This module makes the service durable the
- * same way the campaign checkpoint made sweeps durable
- * (core/checkpoint.hh): every committed tick is appended as one
- * atomically-written JSON *segment*, periodically compacted into a
- * full-state *snapshot*, and a restore replays snapshot + segments to
- * the exact pre-crash state — same serve.* counters (via deferred
- * stat-op replay, obs/deferral.hh), same breaker phase, same
- * last-known-good cache, same response transcript.
+ * fleet (ROADMAP item 2). Every committed tick is appended as one
+ * *segment* record, periodically compacted into a full-state
+ * *snapshot*, and a restore replays snapshot + segments to the exact
+ * pre-crash state — same serve.* counters (via deferred stat-op
+ * replay, obs/deferral.hh), same breaker phase, same last-known-good
+ * cache, same response transcript. The records live in an
+ * obs::RecordDir (`seg-NNNNNNNN.json` / `snap-NNNNNNNN.json`, named by
+ * tick), which owns the file format, atomic writes, the config-digest
+ * guard, the journal.* fault points and quarantine of invalid records
+ * (obs/record_dir.hh). This module keeps the record bodies and the
+ * replay policy.
  *
  * The WAL contract: work whose tick reached the journal is never
  * re-executed; work past the last durable record is lost and
@@ -26,35 +29,24 @@
  *    record*: requests admitted, responses committed (in commit
  *    order), the post-tick breaker state of every shard, and the
  *    serve.* counter increments as obs::StatOps. Deltas compose, so a
- *    record whose write failed outright (no file lands —
- *    fi::atomicWriteFile never leaves a torn destination) simply
- *    folds into the next record; a *missing* tick number is benign.
+ *    record whose write failed outright (no file lands) simply folds
+ *    into the next record; a *missing* tick number is benign.
  *  - A snapshot at tick T replaces the segment for that tick and
  *    carries absolute state: queued requests, the full transcript,
- *    breakers, the LKG cache, and cumulative counter totals. Writing
- *    one retires every record at or before the *previous* snapshot
- *    (two snapshots are always retained so a torn newest snapshot can
- *    fall back).
- *  - A file that is *present but invalid* — truncated, garbage, or
- *    carrying a different config digest — is data loss: it is
- *    quarantined (renamed `<name>.quarantined`, counted in
- *    journal.quarantined_files) and replay stops at the record before
+ *    breakers, the LKG cache, and the service's cumulative counter
+ *    increments. Writing one retires every record at or before the
+ *    *previous* snapshot (two snapshots are always retained so a torn
+ *    newest snapshot can fall back).
+ *  - A record that is *present but invalid* is data loss: the record
+ *    directory quarantines it and replay stops at the record before
  *    it. The ticks from there on are re-served by the resumed driver,
  *    never silently replayed from later records.
  *
- * Every record embeds a config digest (journalConfigDigest() over the
- * service tuning plus a caller salt for the traffic configuration);
- * records from a different configuration are quarantined wholesale.
- * Thread count and snapshot cadence are deliberately excluded — they
- * cannot change results, so changing them must not invalidate a
- * journal.
- *
- * Fault points (docs/robustness.md): journal.write (the record write
- * fails, nothing lands), journal.torn_segment (the write "succeeds"
- * but only half the body lands — a torn write surviving a rename,
- * i.e. the case the loader's quarantine path exists for). Both keyed
- * by the record's tick. journal.* stats are digest-excluded like
- * fi.*: a faulted-but-recovered run digest-matches a clean one.
+ * The config digest (journalConfigDigest()) covers the service tuning
+ * plus a caller salt for the traffic configuration; records from a
+ * different configuration are quarantined wholesale. Thread count and
+ * snapshot cadence are deliberately excluded — they cannot change
+ * results, so changing them must not invalidate a journal.
  */
 
 #ifndef DFAULT_SERVE_JOURNAL_HH
@@ -66,11 +58,8 @@
 #include <vector>
 
 #include "obs/deferral.hh"
+#include "obs/record_dir.hh"
 #include "serve/service.hh"
-
-namespace dfault::obs {
-class Registry;
-}
 
 namespace dfault::serve {
 
@@ -96,34 +85,6 @@ struct JournalBreaker
     int probeSuccesses = 0;
 };
 
-/**
- * serve.* counter mutations accumulated between durable records (a
- * delta) or since service birth (a total). Serialized as
- * obs::StatOps so restore replays publication instead of recomputing
- * it, exactly like campaign checkpoint cells.
- */
-struct CounterBlock
-{
-    std::uint64_t submitted = 0;
-    std::uint64_t served = 0;
-    std::uint64_t degraded = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t shedCritical = 0;
-    std::uint64_t shedHealth = 0;
-    std::uint64_t shedBulk = 0;
-    std::uint64_t breakerOpened = 0;
-    std::uint64_t breakerHalfOpened = 0;
-    std::uint64_t breakerClosed = 0;
-    std::uint64_t ticks = 0;
-};
-
-/** @p block as CounterInc stat-ops (zero fields omitted). */
-std::vector<obs::StatOp> counterBlockOps(const CounterBlock &block);
-
-/** Accumulate the serve.* CounterInc ops in @p ops into @p block. */
-void counterBlockAdd(CounterBlock &block,
-                     const std::vector<obs::StatOp> &ops);
-
 /** One tick's delta since the previous durable record. */
 struct JournalSegment
 {
@@ -145,7 +106,8 @@ struct JournalSnapshot
     std::vector<JournalBreaker> breakers;
     /** Last-known-good cache, sorted by key for a canonical encoding. */
     std::vector<std::pair<std::uint64_t, double>> lastKnownGood;
-    std::vector<obs::StatOp> statOps; ///< cumulative counter totals
+    /** serve.* increments since the service was constructed. */
+    std::vector<obs::StatOp> statOps;
 };
 
 /**
@@ -169,24 +131,21 @@ bool journalSnapshotFromJson(const std::string &text, std::uint64_t digest,
                              std::string *error = nullptr);
 
 /**
- * The on-disk journal: `seg-NNNNNNNN.json` / `snap-NNNNNNNN.json`
- * (named by tick) under one directory, all writes through
- * fi::atomicWriteFile. Not thread-safe; the owning service calls it
+ * The on-disk journal. Not thread-safe; the owning service calls it
  * under its own lock from the single tick driver.
  */
 class WriteAheadJournal
 {
   public:
     /**
-     * Bind to @p dir (created if missing; fatal when that fails) and
-     * pin the config @p digest every record embeds. @p registry
-     * receives the journal.* stats (nullptr: the global registry).
+     * Bind to @p dir and pin the config @p digest every record embeds
+     * (obs::RecordDir::open). @p registry receives the journal.* stats
+     * (nullptr: the global registry).
      */
     void open(const std::string &dir, std::uint64_t digest,
               obs::Registry *registry = nullptr);
 
-    bool enabled() const { return !dir_.empty(); }
-    const std::string &dir() const { return dir_; }
+    bool enabled() const { return records_.enabled(); }
 
     /**
      * Durably append one tick record. Returns false when the write
@@ -219,18 +178,8 @@ class WriteAheadJournal
      */
     Restored load();
 
-    std::string segmentPath(std::uint64_t tick) const;
-    std::string snapshotPath(std::uint64_t tick) const;
-
   private:
-    bool writeRecord(const std::string &path, std::string body,
-                     std::uint64_t tick, bool snapshot);
-    void quarantine(const std::string &path, const std::string &reason);
-    void compact(std::uint64_t keepAfterTick);
-
-    std::string dir_;
-    std::uint64_t digest_ = 0;
-    obs::Registry *registry_ = nullptr;
+    obs::RecordDir records_;
 };
 
 /**
@@ -240,8 +189,10 @@ class WriteAheadJournal
 struct JournalState
 {
     WriteAheadJournal wal;
-    CounterBlock delta;  ///< since the last durable record
-    CounterBlock total;  ///< lifetime, including restored history
+    /** serve.* counter values at construction, before restore. */
+    std::vector<std::uint64_t> base;
+    /** serve.* counter values at the last durable record. */
+    std::vector<std::uint64_t> durable;
     std::vector<JournalRequest> admitted; ///< enqueued since last record
     std::size_t flushedResponses = 0; ///< responses_ entries already durable
 };

@@ -40,20 +40,6 @@ validated(Params p)
     return p;
 }
 
-std::uint64_t CounterBlock::*
-shedField(Priority p)
-{
-    switch (p) {
-    case Priority::Critical:
-        return &CounterBlock::shedCritical;
-    case Priority::Health:
-        return &CounterBlock::shedHealth;
-    case Priority::Bulk:
-        return &CounterBlock::shedBulk;
-    }
-    return &CounterBlock::shedBulk;
-}
-
 } // namespace
 
 const char *
@@ -107,33 +93,32 @@ PredictionService::PredictionService(const ml::Regressor &primary,
       queues_(kPriorityCount), breakers_(params_.shards),
       // Counter names omit _total (the OpenMetrics exporter appends
       // it): these export as serve_submitted_total, serve_shed_total...
-      submitted_(registry_.counter("serve.submitted",
-                                   "prediction requests submitted")),
-      served_(registry_.counter("serve.served",
-                                "requests answered by the primary model")),
-      degraded_(registry_.counter(
+      submitted_(addCounter("serve.submitted",
+                            "prediction requests submitted")),
+      served_(addCounter("serve.served",
+                         "requests answered by the primary model")),
+      degraded_(addCounter(
           "serve.degraded",
           "requests answered from the degraded path (LKG / fallback)")),
-      shed_(registry_.counter("serve.shed",
-                              "requests shed (admission or eviction)")),
-      breakerOpened_(registry_.counter("serve.breaker.opened",
-                                       "circuit breaker open transitions")),
-      breakerHalfOpened_(
-          registry_.counter("serve.breaker.half_open",
-                            "circuit breaker half-open transitions")),
-      breakerClosed_(registry_.counter(
+      shed_(addCounter("serve.shed",
+                       "requests shed (admission or eviction)")),
+      breakerOpened_(addCounter("serve.breaker.opened",
+                                "circuit breaker open transitions")),
+      breakerHalfOpened_(addCounter("serve.breaker.half_open",
+                                    "circuit breaker half-open transitions")),
+      breakerClosed_(addCounter(
           "serve.breaker.closed",
           "circuit breaker recoveries (half-open -> closed)")),
-      ticksTotal_(registry_.counter("serve.ticks", "service ticks run")),
+      ticksTotal_(addCounter("serve.ticks", "service ticks run")),
       queueDepthGauge_(registry_.gauge(
           "serve.live.queue_depth",
           "queued requests right now (live, digest-excluded)"))
 {
     for (int c = 0; c < kPriorityCount; ++c) {
         const std::string name(priorityName(static_cast<Priority>(c)));
-        shedByPriority_[c] = &registry_.counter(
-            "serve.shed." + name, "requests shed in the " + name +
-                                      " priority class");
+        shedByPriority_[c] = &addCounter(
+            "serve.shed." + name,
+            "requests shed in the " + name + " priority class");
         latency_[c] = &registry_.histogram(
             "serve.latency_ns." + name,
             "primary predict latency for " + name +
@@ -150,19 +135,49 @@ PredictionService::PredictionService(const ml::Regressor &primary,
 
 PredictionService::~PredictionService() = default;
 
-void
-PredictionService::bumpLocked(std::uint64_t CounterBlock::*field)
+obs::Counter &
+PredictionService::addCounter(const std::string &name,
+                              const std::string &description)
 {
-    if (journal_ != nullptr) {
-        ++(journal_->delta.*field);
-        ++(journal_->total.*field);
+    obs::Counter &counter = registry_.counter(name, description);
+    counters_.push_back({name, description, &counter});
+    return counter;
+}
+
+std::vector<std::uint64_t>
+PredictionService::counterValues() const
+{
+    std::vector<std::uint64_t> values;
+    values.reserve(counters_.size());
+    for (const NamedCounter &c : counters_)
+        values.push_back(c.counter->value());
+    return values;
+}
+
+std::vector<obs::StatOp>
+PredictionService::counterOpsSince(
+    const std::vector<std::uint64_t> &mark) const
+{
+    std::vector<obs::StatOp> ops;
+    for (std::size_t i = 0; i < counters_.size(); ++i) {
+        const std::uint64_t moved = counters_[i].counter->value() - mark[i];
+        if (moved != 0)
+            ops.push_back({obs::StatOp::Kind::CounterInc, counters_[i].name,
+                           counters_[i].description,
+                           static_cast<double>(moved)});
     }
+    return ops;
 }
 
 void
 PredictionService::restoreFromJournal()
 {
+    // Journaled counter ops are differences of counter values, so a
+    // registry that already holds serve.* counts (an earlier service's)
+    // neither leaks into the records nor is replayed twice.
     journal_ = std::make_unique<JournalState>();
+    journal_->base = counterValues();
+    journal_->durable = journal_->base;
     journal_->wal.open(params_.journalDir, journalConfigDigest(params_),
                        &registry_);
     const WriteAheadJournal::Restored restored = journal_->wal.load();
@@ -214,7 +229,6 @@ PredictionService::restoreFromJournal()
         for (const auto &[key, value] : snap.lastKnownGood)
             lastKnownGood_[key] = value;
         obs::applyStatOps(snap.statOps, &registry_);
-        counterBlockAdd(journal_->total, snap.statOps);
     }
     for (const JournalSegment &seg : restored.segments) {
         tick_ = seg.tick;
@@ -235,9 +249,9 @@ PredictionService::restoreFromJournal()
         }
         applyBreakers(seg.breakers);
         obs::applyStatOps(seg.statOps, &registry_);
-        counterBlockAdd(journal_->total, seg.statOps);
     }
 
+    journal_->durable = counterValues();
     journal_->flushedResponses = responses_.size();
     resumedFromTick_ = static_cast<std::int64_t>(restored.tick);
     for (std::size_t s = 0; s < breakers_.size(); ++s)
@@ -296,7 +310,7 @@ PredictionService::journalCommitLocked()
         snap.lastKnownGood.assign(lastKnownGood_.begin(),
                                   lastKnownGood_.end());
         std::sort(snap.lastKnownGood.begin(), snap.lastKnownGood.end());
-        snap.statOps = counterBlockOps(journal_->total);
+        snap.statOps = counterOpsSince(journal_->base);
         ok = journal_->wal.writeSnapshot(snap);
     } else {
         JournalSegment seg;
@@ -308,12 +322,12 @@ PredictionService::journalCommitLocked()
                                      journal_->flushedResponses),
                              responses_.end());
         seg.breakers = captureBreakers();
-        seg.statOps = counterBlockOps(journal_->delta);
+        seg.statOps = counterOpsSince(journal_->durable);
         ok = journal_->wal.writeSegment(seg);
     }
     if (ok) {
         journal_->admitted.clear();
-        journal_->delta = CounterBlock{};
+        journal_->durable = counterValues();
         journal_->flushedResponses = responses_.size();
     }
     // On failure the delta stays accumulated: it folds into the next
@@ -347,8 +361,6 @@ PredictionService::shedLocked(Pending &&req, const std::string &reason)
 {
     ++shed_;
     ++*shedByPriority_[static_cast<int>(req.priority)];
-    bumpLocked(&CounterBlock::shed);
-    bumpLocked(shedField(req.priority));
     Response r;
     r.id = req.id;
     r.key = req.key;
@@ -379,7 +391,6 @@ PredictionService::degradeLocked(Pending &&req, const std::string &reason)
         return;
     }
     ++degraded_;
-    bumpLocked(&CounterBlock::degraded);
     Response r;
     r.id = req.id;
     r.key = req.key;
@@ -396,7 +407,6 @@ void
 PredictionService::serveLocked(Pending &&req, double prediction)
 {
     ++served_;
-    bumpLocked(&CounterBlock::served);
     lastKnownGood_[req.key] = prediction;
     Response r;
     r.id = req.id;
@@ -420,19 +430,16 @@ PredictionService::transitionLocked(int shard, BreakerState to)
     case BreakerState::Open:
         b.openedTick = tick_;
         ++breakerOpened_;
-        bumpLocked(&CounterBlock::breakerOpened);
         break;
     case BreakerState::HalfOpen:
         b.probeSuccesses = 0;
         ++breakerHalfOpened_;
-        bumpLocked(&CounterBlock::breakerHalfOpened);
         break;
     case BreakerState::Closed:
         b.consecutive = 0;
         b.window.clear();
         b.windowFailures = 0;
         ++breakerClosed_;
-        bumpLocked(&CounterBlock::breakerClosed);
         break;
     }
     breakerGauges_[shard]->set(static_cast<double>(to));
@@ -523,7 +530,6 @@ PredictionService::submit(Request request)
     p.features = std::move(request.features);
     const std::uint64_t id = p.id;
     ++submitted_;
-    bumpLocked(&CounterBlock::submitted);
 
     const par::CancelToken token = effectiveToken();
     if (token.cancelled()) {
@@ -588,7 +594,6 @@ PredictionService::tick()
         std::lock_guard<std::mutex> lock(mutex_);
         ++tick_;
         ++ticksTotal_;
-        bumpLocked(&CounterBlock::ticks);
 
         if (token.cancelled()) {
             // A cancelled service still honors the disposition

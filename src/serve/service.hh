@@ -67,12 +67,12 @@
 #include <vector>
 
 #include "ml/regressor.hh"
+#include "obs/deferral.hh"
 #include "obs/stats.hh"
 #include "par/cancel.hh"
 
 namespace dfault::serve {
 
-struct CounterBlock;
 struct JournalState;
 
 /**
@@ -317,7 +317,6 @@ class PredictionService
     void updateLiveGaugesLocked();
     std::size_t queueDepthLocked() const;
     par::CancelToken effectiveToken() const;
-    void bumpLocked(std::uint64_t CounterBlock::*field);
     void journalCommitLocked();
     void restoreFromJournal();
 
@@ -338,7 +337,23 @@ class PredictionService
     std::unique_ptr<JournalState> journal_;
     std::int64_t resumedFromTick_ = -1;
 
-    // Deterministic counters (manifest-digested).
+    /** A registered serve.* counter, as the journal replays it. */
+    struct NamedCounter
+    {
+        std::string name;
+        std::string description;
+        obs::Counter *counter;
+    };
+    obs::Counter &addCounter(const std::string &name,
+                             const std::string &description);
+    std::vector<std::uint64_t> counterValues() const;
+    /** CounterInc ops for every serve.* counter that moved since @p mark. */
+    std::vector<obs::StatOp>
+    counterOpsSince(const std::vector<std::uint64_t> &mark) const;
+
+    // Deterministic counters (manifest-digested), each also listed in
+    // counters_ in registration order.
+    std::vector<NamedCounter> counters_;
     obs::Counter &submitted_;
     obs::Counter &served_;
     obs::Counter &degraded_;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the sweep checkpoint journal: config digesting, cell
- * JSON round trips, and the journal's tolerance of corrupt, stale and
- * out-of-range cell files.
+ * JSON round trips, and the journal's tolerance of corrupt, stale,
+ * torn and out-of-range cell files.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,9 @@
 
 #include "core/checkpoint.hh"
 #include "fi/durable.hh"
+#include "fi/injector.hh"
 #include "obs/deferral.hh"
+#include "obs/stats.hh"
 
 namespace dfault::core {
 namespace {
@@ -231,6 +233,33 @@ TEST_F(JournalTest, SkipsCorruptStaleAndOutOfRangeCells)
     const auto cells = journal.load(2);
     ASSERT_EQ(cells.size(), 1u);
     EXPECT_EQ(cells.begin()->first, 1u);
+}
+
+TEST_F(JournalTest, TornCellIsQuarantined)
+{
+    obs::Registry reg;
+    CheckpointJournal journal;
+    journal.open(dir, 42, &reg);
+
+    // Cell 0's write lands half its body; cell 1's lands whole.
+    fi::Injector::instance().arm("journal.torn_segment:below=1");
+    CheckpointCell torn;
+    torn.cell = 0;
+    torn.measurement = someMeasurement();
+    CheckpointCell intact;
+    intact.cell = 1;
+    intact.measurement = someMeasurement();
+    const bool stored = journal.store(torn) && journal.store(intact);
+    fi::Injector::instance().disarm();
+    ASSERT_TRUE(stored);
+
+    const auto cells = journal.load(2);
+    ASSERT_EQ(cells.size(), 1u);
+    EXPECT_EQ(cells.begin()->first, 1u);
+    EXPECT_TRUE(std::filesystem::exists(dir +
+                                        "/cell-000000.json.quarantined"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/cell-000000.json"));
+    EXPECT_EQ(reg.value("journal.quarantined_files"), 1.0);
 }
 
 TEST_F(JournalTest, DisabledJournalLoadsNothing)

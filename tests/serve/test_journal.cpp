@@ -3,11 +3,12 @@
  * Unit tests for the prediction service's write-ahead journal
  * (serve/journal.hh): record JSON round trips, the config digest
  * guard, restore-to-exact-pre-crash-state, quarantine of torn /
- * garbage / mismatched records, snapshot fallback and compaction, and
- * the tentpole acceptance claim — a killed-and-resumed serving run
- * reaches the bit-identical transcript and stats digest of a run that
- * never died, at 1, 2 and 8 threads, including under armed journal.*
- * faults.
+ * garbage / mismatched records, snapshot fallback and compaction, ticks
+ * past eight digits, counter deltas on a registry that already holds
+ * serve.* counts, and the main claim — a killed-and-resumed serving
+ * run reaches the bit-identical transcript and stats digest of a run
+ * that never died, at 1, 2 and 8 threads, including under armed
+ * journal.* faults.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <numeric>
 #include <set>
 #include <string>
@@ -122,7 +124,19 @@ struct RunResult
 {
     std::string transcript;
     std::uint64_t digest = 0;
+    std::map<std::string, double> serve; ///< serve.* counter values
 };
+
+std::map<std::string, double>
+serveCounters(const obs::Registry &reg)
+{
+    std::map<std::string, double> out;
+    for (const std::string &name : reg.names())
+        if (name.starts_with("serve.") &&
+            reg.kindOf(name) == obs::StatKind::Counter)
+            out[name] = reg.value(name);
+    return out;
+}
 
 struct JournalTest : ::testing::Test
 {
@@ -161,8 +175,21 @@ struct JournalTest : ::testing::Test
         PredictionService svc(primary, baseParams(&reg), &fallback);
         runRounds(svc, 0, kRounds);
         svc.drain();
-        return {transcriptOf(svc.takeResponses()),
-                obs::statsDigest(&reg)};
+        return {transcriptOf(svc.takeResponses()), obs::statsDigest(&reg),
+                serveCounters(reg)};
+    }
+
+    /**
+     * Leave the serve.* counts of @p preloadRounds rounds in @p reg,
+     * the way an earlier, destroyed service on the same registry does.
+     */
+    void preload(obs::Registry &reg)
+    {
+        if (preloadRounds == 0)
+            return;
+        PredictionService svc(primary, baseParams(&reg), &fallback);
+        runRounds(svc, 0, preloadRounds);
+        svc.drain();
     }
 
     /**
@@ -177,6 +204,7 @@ struct JournalTest : ::testing::Test
     {
         {
             obs::Registry crashed;
+            preload(crashed);
             Params p = baseParams(&crashed);
             p.journalDir = dir;
             p.snapshotEveryTicks = snapshotEvery;
@@ -188,6 +216,7 @@ struct JournalTest : ::testing::Test
                 svc.submit(makeReq(crashRound * kPerRound + i));
         }
         obs::Registry reg;
+        preload(reg);
         Params p = baseParams(&reg);
         p.journalDir = dir;
         p.snapshotEveryTicks = snapshotEvery;
@@ -197,48 +226,15 @@ struct JournalTest : ::testing::Test
         runRounds(svc, static_cast<std::size_t>(svc.resumedFromTick()),
                   kRounds);
         svc.drain();
-        return {transcriptOf(svc.takeResponses()),
-                obs::statsDigest(&reg)};
+        return {transcriptOf(svc.takeResponses()), obs::statsDigest(&reg),
+                serveCounters(reg)};
     }
 
     SumModel primary;
     ConstModel fallback;
+    /** Rounds preload() runs before each crashAndResume() phase. */
+    std::size_t preloadRounds = 0;
 };
-
-TEST_F(JournalTest, CounterBlockRoundTripsThroughStatOps)
-{
-    CounterBlock block;
-    block.submitted = 10;
-    block.served = 6;
-    block.degraded = 3;
-    block.shed = 1;
-    block.shedBulk = 1;
-    block.breakerOpened = 2;
-    block.ticks = 4;
-
-    const std::vector<obs::StatOp> ops = counterBlockOps(block);
-    // Zero fields are omitted: 7 non-zero fields above.
-    EXPECT_EQ(ops.size(), 7u);
-    for (const obs::StatOp &op : ops)
-        EXPECT_EQ(op.kind, obs::StatOp::Kind::CounterInc);
-
-    CounterBlock back;
-    counterBlockAdd(back, ops);
-    EXPECT_EQ(back.submitted, 10u);
-    EXPECT_EQ(back.served, 6u);
-    EXPECT_EQ(back.degraded, 3u);
-    EXPECT_EQ(back.shed, 1u);
-    EXPECT_EQ(back.shedBulk, 1u);
-    EXPECT_EQ(back.shedCritical, 0u);
-    EXPECT_EQ(back.breakerOpened, 2u);
-    EXPECT_EQ(back.ticks, 4u);
-
-    // Applying the ops to a registry lands on the real serve.* names.
-    obs::Registry reg;
-    obs::applyStatOps(ops, &reg);
-    EXPECT_EQ(reg.value("serve.submitted"), 10.0);
-    EXPECT_EQ(reg.value("serve.breaker.opened"), 2.0);
-}
 
 TEST_F(JournalTest, SegmentJsonRoundTripsIncludingNaNPrediction)
 {
@@ -277,15 +273,11 @@ TEST_F(JournalTest, SegmentJsonRoundTripsIncludingNaNPrediction)
     b.windowFailures = 2;
     b.openedTick = 7;
     seg.breakers.push_back(b);
-    seg.statOps = counterBlockOps([] {
-        CounterBlock c;
-        c.submitted = 1;
-        c.served = 1;
-        c.shed = 1;
-        c.shedBulk = 1;
-        c.ticks = 1;
-        return c;
-    }());
+    for (const char *name : {"serve.submitted", "serve.served",
+                             "serve.shed", "serve.shed.bulk",
+                             "serve.ticks"})
+        seg.statOps.push_back(
+            {obs::StatOp::Kind::CounterInc, name, "", 1.0});
 
     const std::uint64_t digest = 0xabcdefu;
     const std::string json = journalSegmentJson(seg, digest);
@@ -328,10 +320,9 @@ TEST_F(JournalTest, SnapshotJsonRoundTrips)
     snap.responses.push_back(r);
     snap.breakers.push_back(JournalBreaker{});
     snap.lastKnownGood = {{1, 2.0}, {5, 6.0}};
-    CounterBlock totals;
-    totals.submitted = 99;
-    totals.ticks = 12;
-    snap.statOps = counterBlockOps(totals);
+    snap.statOps = {
+        {obs::StatOp::Kind::CounterInc, "serve.submitted", "", 99.0},
+        {obs::StatOp::Kind::CounterInc, "serve.ticks", "", 12.0}};
 
     const std::string json = journalSnapshotJson(snap, 7u);
     JournalSnapshot out;
@@ -369,6 +360,28 @@ TEST_F(JournalTest, ParserRejectsTruncatedGarbageAndForeignRecords)
     snap.tick = 3;
     EXPECT_FALSE(journalSegmentFromJson(journalSnapshotJson(snap, 1u),
                                         1u, out, &error));
+}
+
+/** Integer fields outside their type's range are rejected, not cast. */
+TEST_F(JournalTest, ParserRejectsOutOfRangeIntegers)
+{
+    JournalSegment seg;
+    seg.tick = 3;
+    seg.breakers.push_back(JournalBreaker{});
+    const std::string good = journalSegmentJson(seg, 1u);
+    JournalSegment out;
+    ASSERT_TRUE(journalSegmentFromJson(good, 1u, out));
+
+    for (const auto &[field, huge] :
+         {std::pair{"\"next_id\":0", "\"next_id\":1e30"},
+          std::pair{"\"consec\":0", "\"consec\":1e30"},
+          std::pair{"\"index\":3", "\"index\":1e30"}}) {
+        std::string text = good;
+        const std::size_t at = text.find(field);
+        ASSERT_NE(at, std::string::npos) << field;
+        text.replace(at, std::string(field).size(), huge);
+        EXPECT_FALSE(journalSegmentFromJson(text, 1u, out)) << huge;
+    }
 }
 
 TEST_F(JournalTest, ConfigDigestCoversResultKnobsOnly)
@@ -491,6 +504,31 @@ TEST_F(JournalTest, KillResumeIsBitIdenticalAcrossThreadCounts)
             << "threads " << threads;
     }
     par::Pool::setGlobalThreads(original);
+}
+
+/**
+ * Journaled serve.* ops are differences of counter values, so a
+ * service on a registry that already holds serve.* counts — a second
+ * service after the first was destroyed — must journal and restore
+ * only its own increments.
+ */
+TEST_F(JournalTest, KillResumeOnRegistryWithEarlierServeCounts)
+{
+    fi::Injector::instance().arm(
+        "serve.error:below=20;serve.reject:every=13");
+    const RunResult golden = cleanRun();
+    preloadRounds = 5;
+    obs::Registry earlier;
+    preload(earlier);
+    const std::map<std::string, double> before = serveCounters(earlier);
+    ASSERT_GT(before.at("serve.submitted"), 0.0);
+
+    const RunResult resumed = crashAndResume(7);
+    EXPECT_EQ(resumed.transcript, golden.transcript);
+    std::map<std::string, double> want = before;
+    for (const auto &[name, value] : golden.serve)
+        want[name] += value;
+    EXPECT_EQ(resumed.serve, want);
 }
 
 /**
@@ -688,6 +726,28 @@ TEST_F(JournalTest, CancelledDrainIsConservedAndDurable)
     EXPECT_EQ(reg.value("serve.served"), finalCounters[1]);
     EXPECT_EQ(reg.value("serve.degraded"), finalCounters[2]);
     EXPECT_EQ(reg.value("serve.shed"), finalCounters[3]);
+}
+
+/**
+ * Record names pad the tick to eight digits without limiting it to
+ * eight: a service past tick 99,999,999 still finds its own records.
+ */
+TEST_F(JournalTest, TicksPastEightDigitsAreStillLoaded)
+{
+    obs::Registry reg;
+    WriteAheadJournal wal;
+    wal.open(dir, 5u, &reg);
+    JournalSegment seg;
+    seg.tick = 99999999;
+    ASSERT_TRUE(wal.writeSegment(seg));
+    seg.tick = 100000000;
+    ASSERT_TRUE(wal.writeSegment(seg));
+
+    const WriteAheadJournal::Restored restored = wal.load();
+    ASSERT_EQ(restored.segments.size(), 2u);
+    EXPECT_EQ(restored.segments[0].tick, 99999999u);
+    EXPECT_EQ(restored.segments[1].tick, 100000000u);
+    EXPECT_EQ(restored.tick, 100000000u);
 }
 
 /** journal.* is operational history, digest-excluded like fi.*. */
