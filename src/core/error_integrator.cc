@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -32,6 +31,172 @@ hashOperatingPoint(const dram::OperatingPoint &op)
     h = dfault::hashCombine(h, std::llround(op.temperature * 1e3));
     return h;
 }
+
+/** Paper-scale words emulated per profiled footprint word. */
+double
+exposureScale(const ErrorIntegrator::Params &params,
+              const features::WorkloadProfile &profile)
+{
+    const double exposure_words =
+        params.exposureWords > 0.0 ? params.exposureWords : kPaperWords;
+    return exposure_words /
+           static_cast<double>(
+               std::max<std::uint64_t>(profile.footprintWords, 1));
+}
+
+/** Mean probability of a stored 1 over the 64 bit positions. */
+double
+meanBitOne(const features::WorkloadProfile &profile)
+{
+    double mean_p1 = 0.0;
+    for (const double p : profile.bitOneProb)
+        mean_p1 += p;
+    return mean_p1 / 64.0;
+}
+
+/**
+ * Index of the row with flat index @p target in @p rows, or rows.size()
+ * if that row is untouched. @p rows is ascending by rowIndex. A victim's
+ * physical neighbours are usually a few entries away from it in logical
+ * order, so the search gallops outward from the victim's index @p from
+ * (steps 1, 2, 4, ...) and finishes with a binary search of the last
+ * step.
+ */
+std::size_t
+findRow(const std::vector<features::RowStat> &rows, std::size_t from,
+        std::uint64_t target)
+{
+    const std::size_t n = rows.size();
+    std::size_t first = 0; // the target lies in [first, last)
+    std::size_t last = n;
+    std::size_t step = 1;
+    if (rows[from].rowIndex < target) {
+        first = from + 1;
+        while (from + step < n && rows[from + step].rowIndex < target) {
+            first = from + step + 1;
+            step *= 2;
+        }
+        last = std::min(from + step + 1, n);
+    } else {
+        last = from + 1;
+        while (step <= from && rows[from - step].rowIndex > target) {
+            last = from - step;
+            step *= 2;
+        }
+        first = step <= from ? from - step : 0;
+    }
+    const auto end = rows.begin() + static_cast<std::ptrdiff_t>(last);
+    const auto it = std::lower_bound(
+        rows.begin() + static_cast<std::ptrdiff_t>(first), end, target,
+        [](const features::RowStat &row, std::uint64_t t) {
+            return row.rowIndex < t;
+        });
+    return it != end && it->rowIndex == target
+               ? static_cast<std::size_t>(it - rows.begin())
+               : n;
+}
+
+/** Per-row terms shared by the run and the row analysis. */
+struct RowTerms
+{
+    std::uint32_t phys = 0;      ///< physical row within its bank
+    double suppression = 1.0;    ///< implicit-refresh factor
+    double delta = 0.0;          ///< threshold widening from hammering
+    double pDisturbed = 0.0;     ///< weak-cell probability under delta
+};
+
+/**
+ * One device's touched rows at one operating point. What depends only
+ * on the device and the operating point (the retention scale and the
+ * undisturbed weak-cell probability) is computed once here, not per row.
+ */
+class DeviceRows
+{
+  public:
+    DeviceRows(const std::vector<features::RowStat> &rows,
+               const dram::OperatingPoint &op,
+               const dram::Geometry &geometry,
+               const dram::DramDevice &device,
+               const dram::RetentionModel &retention,
+               const dram::InterferenceModel &interference,
+               double refresh_exponent)
+        : rows_(rows), device_(device), retention_(retention),
+          interference_(interference), trefp_(op.trefp),
+          refreshExponent_(refresh_exponent),
+          rowsPerBank_(geometry.params().rowsPerBank),
+          rowMask_(rowsPerBank_ - 1),
+          scale_(retention.effectiveScale(op, device.retentionScale())),
+          pBase_(retention.weakProbabilityAtScale(op.trefp, scale_))
+    {
+        // findRow() relies on it (features/profile.hh).
+        DFAULT_ASSERT(std::adjacent_find(rows.begin(), rows.end(),
+                                         [](const auto &a, const auto &b) {
+                                             return a.rowIndex >=
+                                                    b.rowIndex;
+                                         }) == rows.end(),
+                      "profile rows of a device must be strictly "
+                      "ascending by rowIndex");
+    }
+
+    /** Base retention leakage against the refresh period. */
+    double pBase() const { return pBase_; }
+
+    RowTerms
+    terms(std::size_t i) const
+    {
+        const features::RowStat &row = rows_[i];
+        RowTerms t;
+        // Implicit refresh: a row the program re-accesses faster than
+        // TREFP has its charge restored by the access stream itself.
+        // The suppression is partial (see Params::accessRefreshExponent):
+        // rows touched only once in the window get no implicit refresh.
+        if (row.longestGap > 0.0 && row.longestGap < trefp_)
+            t.suppression =
+                std::pow(row.longestGap / trefp_, refreshExponent_);
+
+        // Aggressor activity: activation rates of the two physically
+        // adjacent rows in the same bank (after vendor row scrambling).
+        // Geometry makes rowsPerBank a power of two: mask, not divide.
+        const std::uint64_t bank_base = row.rowIndex & ~rowMask_;
+        t.phys = device_.physicalRow(
+            static_cast<std::uint32_t>(row.rowIndex & rowMask_));
+        double aggressor_rate = 0.0;
+        for (const std::int64_t d : {-1, +1}) {
+            const std::int64_t neighbour_phys =
+                static_cast<std::int64_t>(t.phys) + d;
+            if (neighbour_phys < 0 ||
+                neighbour_phys >= static_cast<std::int64_t>(rowsPerBank_))
+                continue;
+            const std::uint32_t neighbour_logical = device_.physicalRow(
+                static_cast<std::uint32_t>(neighbour_phys));
+            const std::size_t j =
+                findRow(rows_, i, bank_base + neighbour_logical);
+            if (j != rows_.size())
+                aggressor_rate += rows_[j].activationRate;
+        }
+        t.delta = interference_.thresholdWidening(aggressor_rate, trefp_);
+
+        // Near-threshold cells pushed over by neighbour disturbance. At
+        // delta == 0 the window is trefp * 1.0 == trefp: p_base exactly.
+        t.pDisturbed = t.delta > 0.0
+                           ? retention_.weakProbabilityAtScale(
+                                 trefp_ * (1.0 + t.delta), scale_)
+                           : pBase_;
+        return t;
+    }
+
+  private:
+    const std::vector<features::RowStat> &rows_;
+    const dram::DramDevice &device_;
+    const dram::RetentionModel &retention_;
+    const dram::InterferenceModel &interference_;
+    const Seconds trefp_;
+    const double refreshExponent_;
+    const std::uint32_t rowsPerBank_;
+    const std::uint64_t rowMask_;
+    const double scale_;
+    const double pBase_;
+};
 
 } // namespace
 
@@ -74,72 +239,31 @@ ErrorIntegrator::analyzeRows(const features::WorkloadProfile &profile,
                              const dram::DramDevice &device,
                              int device_index) const
 {
-    const double exposure_words = params_.exposureWords > 0.0
-                                      ? params_.exposureWords
-                                      : kPaperWords;
-    const double exposure_scale =
-        exposure_words / static_cast<double>(
-                             std::max<std::uint64_t>(
-                                 profile.footprintWords, 1));
-
     const auto &rows = profile.deviceRows.at(device_index);
     std::vector<RowIntensity> out;
     out.reserve(rows.size());
     if (rows.empty())
         return out;
 
-    double mean_p1 = 0.0;
-    for (const double p : profile.bitOneProb)
-        mean_p1 += p;
-    mean_p1 /= 64.0;
+    const double exposure_scale = exposureScale(params_, profile);
+    const double mean_p1 = meanBitOne(profile);
+    const DeviceRows device_rows(rows, op, geometry, device, retention_,
+                                 interference_,
+                                 params_.accessRefreshExponent);
 
-    std::unordered_map<std::uint64_t, double> act_rate;
-    act_rate.reserve(rows.size() * 2);
-    for (const auto &row : rows)
-        act_rate[row.rowIndex] = row.activationRate;
-
-    const std::uint32_t rows_per_bank = geometry.params().rowsPerBank;
-
-    for (const auto &row : rows) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const RowTerms t = device_rows.terms(i);
         RowIntensity info;
-        info.rowIndex = row.rowIndex;
-
-        if (row.longestGap > 0.0 && row.longestGap < op.trefp)
-            info.suppression = std::pow(row.longestGap / op.trefp,
-                                        params_.accessRefreshExponent);
-
-        const std::uint64_t bank = row.rowIndex / rows_per_bank;
-        const auto in_bank =
-            static_cast<std::uint32_t>(row.rowIndex % rows_per_bank);
-        const std::uint32_t phys = device.physicalRow(in_bank);
-        double aggressor_rate = 0.0;
-        for (const std::int64_t d : {-1, +1}) {
-            const std::int64_t neighbour_phys =
-                static_cast<std::int64_t>(phys) + d;
-            if (neighbour_phys < 0 ||
-                neighbour_phys >=
-                    static_cast<std::int64_t>(rows_per_bank))
-                continue;
-            const std::uint32_t neighbour_logical = device.physicalRow(
-                static_cast<std::uint32_t>(neighbour_phys));
-            const auto it = act_rate.find(bank * rows_per_bank +
-                                          neighbour_logical);
-            if (it != act_rate.end())
-                aggressor_rate += it->second;
-        }
-        info.interferenceDelta =
-            interference_.thresholdWidening(aggressor_rate, op.trefp);
-
-        const double p_disturbed = retention_.weakProbability(
-            op.trefp * (1.0 + info.interferenceDelta), op,
-            device.retentionScale());
+        info.rowIndex = rows[i].rowIndex;
+        info.suppression = t.suppression;
+        info.interferenceDelta = t.delta;
         const double v =
             params_.dataPatternVulnerability
-                ? (device.rowIsTrueCell(phys) ? mean_p1
-                                              : 1.0 - mean_p1)
+                ? (device.rowIsTrueCell(t.phys) ? mean_p1
+                                                : 1.0 - mean_p1)
                 : 0.5;
-        info.ceLambda = row.touchedWords * exposure_scale *
-                        units::totalBitsPerWord * p_disturbed *
+        info.ceLambda = rows[i].touchedWords * exposure_scale *
+                        units::totalBitsPerWord * t.pDisturbed *
                         info.suppression * v;
         out.push_back(info);
     }
@@ -151,8 +275,8 @@ ErrorIntegrator::computeIntensity(const features::WorkloadProfile &profile,
                                   const dram::OperatingPoint &op,
                                   const dram::Geometry &geometry,
                                   const dram::DramDevice &device,
-                                  int device_index,
-                                  double exposure_scale) const
+                                  int device_index, double exposure_scale,
+                                  bool collect_hot_rows) const
 {
     DeviceIntensity out;
     const auto &rows = profile.deviceRows.at(device_index);
@@ -161,78 +285,32 @@ ErrorIntegrator::computeIntensity(const features::WorkloadProfile &profile,
 
     // Data-pattern vulnerability: the average fraction of stored bits in
     // the charged (leak-capable) state for each cell orientation.
-    double mean_p1 = 0.0;
-    for (const double p : profile.bitOneProb)
-        mean_p1 += p;
-    mean_p1 /= 64.0;
+    const double mean_p1 = meanBitOne(profile);
     const double v_true = mean_p1;        // true cells leak 1 -> 0
     const double v_anti = 1.0 - mean_p1;  // anti cells leak 0 -> 1
 
-    // Activation-rate lookup for neighbour (aggressor) rows.
-    std::unordered_map<std::uint64_t, double> act_rate;
-    act_rate.reserve(rows.size() * 2);
-    for (const auto &row : rows)
-        act_rate[row.rowIndex] = row.activationRate;
-
-    const std::uint32_t rows_per_bank = geometry.params().rowsPerBank;
+    const DeviceRows device_rows(rows, op, geometry, device, retention_,
+                                 interference_,
+                                 params_.accessRefreshExponent);
+    const double p_base = device_rows.pBase();
     const double pi_active = vrt_.stationaryActiveFraction();
+    double ue_per_epoch = 0.0;
 
-    for (const auto &row : rows) {
-        // Implicit refresh: a row the program re-accesses faster than
-        // TREFP has its charge restored by the access stream itself.
-        // The suppression is partial (see Params::accessRefreshExponent):
-        // rows touched only once in the window get no implicit refresh.
-        double suppression = 1.0;
-        if (row.longestGap > 0.0 && row.longestGap < op.trefp) {
-            suppression = std::pow(row.longestGap / op.trefp,
-                                   params_.accessRefreshExponent);
-        }
-
-        // Aggressor activity: activation rates of the two physically
-        // adjacent rows in the same bank (after vendor row scrambling).
-        const std::uint64_t bank = row.rowIndex / rows_per_bank;
-        const auto in_bank =
-            static_cast<std::uint32_t>(row.rowIndex % rows_per_bank);
-        const std::uint32_t phys = device.physicalRow(in_bank);
-        double aggressor_rate = 0.0;
-        for (const std::int64_t d : {-1, +1}) {
-            const std::int64_t neighbour_phys =
-                static_cast<std::int64_t>(phys) + d;
-            if (neighbour_phys < 0 ||
-                neighbour_phys >= static_cast<std::int64_t>(rows_per_bank))
-                continue;
-            const std::uint32_t neighbour_logical = device.physicalRow(
-                static_cast<std::uint32_t>(neighbour_phys));
-            const auto it = act_rate.find(bank * rows_per_bank +
-                                          neighbour_logical);
-            if (it != act_rate.end())
-                aggressor_rate += it->second;
-        }
-        const double delta =
-            interference_.thresholdWidening(aggressor_rate, op.trefp);
-
-        // Base retention leakage against the refresh period, plus the
-        // near-threshold cells pushed over by neighbour disturbance.
-        const double p_base = retention_.weakProbability(
-            op.trefp, op, device.retentionScale());
-        const double p_disturbed =
-            delta > 0.0 ? retention_.weakProbability(
-                              op.trefp * (1.0 + delta), op,
-                              device.retentionScale())
-                        : p_base;
-        const double p_weak = p_disturbed * suppression;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const RowTerms t = device_rows.terms(i);
+        const double p_weak = t.pDisturbed * t.suppression;
         if (p_weak <= 0.0)
             continue;
 
         const double v =
             params_.dataPatternVulnerability
-                ? (device.rowIsTrueCell(phys) ? v_true : v_anti)
+                ? (device.rowIsTrueCell(t.phys) ? v_true : v_anti)
                 : 0.5;
         const double p_cell = p_weak * v;
         if (p_cell <= 0.0)
             continue;
 
-        const double words = row.touchedWords * exposure_scale;
+        const double words = rows[i].touchedWords * exposure_scale;
         const double lambda_ce =
             words * units::totalBitsPerWord * p_cell;
         const double p_active = p_cell * pi_active;
@@ -246,15 +324,16 @@ ErrorIntegrator::computeIntensity(const features::WorkloadProfile &profile,
         const double p_active_base = p_base * v * pi_active;
 
         out.ceLambda += lambda_ce;
-        out.uePerEpoch += words * kPairsPerWord * p_active *
-                          p_active_base * params_.ueWordCoupling;
+        ue_per_epoch += words * kPairsPerWord * p_active *
+                        p_active_base * params_.ueWordCoupling;
         out.sdcPerEpoch +=
             words * kTriplesPerWord * p_active * p_active_base *
             p_active_base;
         out.touchedWords += words;
-        if (lambda_ce > 0.0)
-            out.hotRows.emplace_back(row.rowIndex, lambda_ce);
+        if (collect_hot_rows && lambda_ce > 0.0)
+            out.hotRows.emplace_back(rows[i].rowIndex, lambda_ce);
     }
+    out.pUePerEpoch = 1.0 - std::exp(-ue_per_epoch);
 
     // Keep only the heaviest rows for record sampling.
     std::sort(out.hotRows.begin(), out.hotRows.end(),
@@ -282,19 +361,17 @@ ErrorIntegrator::run(const features::WorkloadProfile &profile,
     DFAULT_ASSERT(profile.footprintWords > 0,
                   "profile has an empty footprint");
 
-    const double exposure_words = params_.exposureWords > 0.0
-                                      ? params_.exposureWords
-                                      : kPaperWords;
-    const double exposure_scale =
-        exposure_words / static_cast<double>(profile.footprintWords);
+    const double exposure_scale = exposureScale(params_, profile);
 
+    // Hot rows only feed the error log's record sampling.
     const int n_dev = geometry.deviceCount();
     std::vector<DeviceIntensity> intensity;
     intensity.reserve(n_dev);
     for (int d = 0; d < n_dev; ++d)
         intensity.push_back(computeIntensity(profile, op, geometry,
                                              devices[d], d,
-                                             exposure_scale));
+                                             exposure_scale,
+                                             log != nullptr));
 
     RunResult result;
     result.cePerDevice.assign(n_dev, 0.0);
@@ -361,8 +438,7 @@ ErrorIntegrator::run(const features::WorkloadProfile &profile,
             }
 
             // Uncorrectable errors crash the machine.
-            const double p_ue = 1.0 - std::exp(-dev_int.uePerEpoch);
-            if (!result.crashed && rng.bernoulli(p_ue)) {
+            if (!result.crashed && rng.bernoulli(dev_int.pUePerEpoch)) {
                 result.crashed = true;
                 result.crashEpoch = epoch;
                 result.crashDevice = d;

@@ -176,10 +176,13 @@ class ErrorIntegrator
     struct DeviceIntensity
     {
         double ceLambda = 0.0;     ///< expected failing cells (scaled)
-        double uePerEpoch = 0.0;   ///< expected UE words per epoch
+        double pUePerEpoch = 0.0;  ///< P(a UE word) per epoch
         double sdcPerEpoch = 0.0;  ///< expected >=3-flip words per epoch
         double touchedWords = 0.0; ///< scaled words on this device
-        /** Rows with non-trivial intensity, for record sampling. */
+        /**
+         * The heaviest rows, for record sampling into an error log;
+         * empty unless computeIntensity() was asked to collect them.
+         */
         std::vector<std::pair<std::uint64_t, double>> hotRows;
     };
 
@@ -188,7 +191,7 @@ class ErrorIntegrator
                      const dram::OperatingPoint &op,
                      const dram::Geometry &geometry,
                      const dram::DramDevice &device, int device_index,
-                     double exposure_scale) const;
+                     double exposure_scale, bool collect_hot_rows) const;
 };
 
 } // namespace dfault::core

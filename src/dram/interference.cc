@@ -15,6 +15,8 @@ InterferenceModel::InterferenceModel(const Params &params) : params_(params)
         DFAULT_FATAL("interference: strength must be non-negative");
     if (params_.refActivations <= 0.0)
         DFAULT_FATAL("interference: refActivations must be positive");
+    if (params_.maxDelta < 0.0)
+        DFAULT_FATAL("interference: maxDelta must be non-negative");
 }
 
 double

@@ -36,7 +36,7 @@ class InterferenceModel
         double strength = 1.2;
         /** Aggressor activations per refresh window that give log1p(1). */
         double refActivations = 150.0;
-        /** Upper bound on delta (charge loss saturates). */
+        /** Upper bound on delta (charge loss saturates); >= 0. */
         double maxDelta = 1.5;
     };
 

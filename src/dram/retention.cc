@@ -29,14 +29,28 @@ RetentionModel::tauScale(const OperatingPoint &op) const
 }
 
 double
+RetentionModel::effectiveScale(const OperatingPoint &op,
+                               double device_scale) const
+{
+    DFAULT_ASSERT(device_scale > 0.0, "device retention scale must be > 0");
+    return tauScale(op) * device_scale;
+}
+
+double
 RetentionModel::weakProbability(Seconds t_eff, const OperatingPoint &op,
                                 double device_scale) const
 {
     if (t_eff <= 0.0)
         return 0.0;
-    DFAULT_ASSERT(device_scale > 0.0, "device retention scale must be > 0");
+    return weakProbabilityAtScale(t_eff, effectiveScale(op, device_scale));
+}
+
+double
+RetentionModel::weakProbabilityAtScale(Seconds t_eff, double scale) const
+{
+    if (t_eff <= 0.0)
+        return 0.0;
     // tau' = tau * scale; P(tau' < t) = F(t / scale).
-    const double scale = tauScale(op) * device_scale;
     return stats::lognormalCdf(t_eff / scale, params_.mu, params_.sigma);
 }
 
@@ -45,8 +59,8 @@ RetentionModel::weakQuantile(double p, const OperatingPoint &op,
                              double device_scale) const
 {
     DFAULT_ASSERT(p > 0.0 && p < 1.0, "quantile level out of (0,1)");
-    const double scale = tauScale(op) * device_scale;
-    return stats::lognormalQuantile(p, params_.mu, params_.sigma) * scale;
+    return stats::lognormalQuantile(p, params_.mu, params_.sigma) *
+           effectiveScale(op, device_scale);
 }
 
 } // namespace dfault::dram

@@ -62,12 +62,27 @@ class RetentionModel
     double tauScale(const OperatingPoint &op) const;
 
     /**
+     * Factor applied to the retention time of every cell of a device
+     * whose manufacturing variation multiplies retention by
+     * @p device_scale, under @p op: tauScale(op) * device_scale.
+     */
+    double effectiveScale(const OperatingPoint &op,
+                          double device_scale) const;
+
+    /**
      * Probability that a cell's retention time is below @p t_eff under
      * operating point @p op for a device whose manufacturing variation
      * multiplies retention by @p device_scale.
      */
     double weakProbability(Seconds t_eff, const OperatingPoint &op,
                            double device_scale = 1.0) const;
+
+    /**
+     * weakProbability() given the precomputed effectiveScale(): callers
+     * evaluating many refresh windows of one device at one operating
+     * point compute the scale once.
+     */
+    double weakProbabilityAtScale(Seconds t_eff, double scale) const;
 
     /**
      * Retention time (seconds) below which a fraction @p p of cells

@@ -59,7 +59,12 @@ struct WorkloadProfile
     /** Per-bit-position probability of a written 1. */
     std::array<double, 64> bitOneProb{};
 
-    /** Touched-row statistics, indexed by device index. */
+    /**
+     * Touched-row statistics, indexed by device index. Each device's
+     * rows are strictly ascending by rowIndex (extractProfile emits
+     * them in that order); the error integrator's neighbour lookup
+     * relies on it and asserts it.
+     */
     std::vector<std::vector<RowStat>> deviceRows;
 };
 

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <set>
+
+#include "common/rng.hh"
 #include "core/error_integrator.hh"
 #include "features/extractor.hh"
 #include "sys/platform.hh"
@@ -228,6 +234,262 @@ TEST(Integrator, NoSdcInThePaperEnvelope)
                 << trefp << "s " << temp << "C";
         }
     }
+}
+
+/** FNV-1a over the bytes of @p values: pins a series bit for bit. */
+std::uint64_t
+bitDigest(const std::vector<double> &values)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const double v : values) {
+        unsigned char bytes[sizeof v];
+        std::memcpy(bytes, &v, sizeof v);
+        for (const unsigned char b : bytes)
+            h = (h ^ b) * 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Digest of the logged records' locations, types and epochs. */
+std::uint64_t
+logDigest(const dram::ErrorLog &log)
+{
+    std::vector<double> fields;
+    for (const auto &rec : log.records())
+        for (const double f :
+             {double(rec.device.dimm), double(rec.device.rank),
+              double(rec.bank), double(rec.row), double(rec.column),
+              double(rec.type), double(rec.epoch),
+              double(rec.bitsFlipped)})
+            fields.push_back(f);
+    return bitDigest(fields);
+}
+
+/** srad(par) as the campaign labels it (the label seeds the run). */
+const features::WorkloadProfile &
+sradPar()
+{
+    workloads::Workload::Params p;
+    p.footprintBytes = 2 << 20;
+    p.workScale = 0.5;
+    return features::ProfileCache::instance().get(
+        sharedPlatform(), {"srad", 8, "srad(par)"}, p);
+}
+
+/** Three WER operating points and one that crashes. */
+const dram::OperatingPoint kPinnedPoints[] = {
+    {1.173, dram::kMinVdd, 60.0},
+    {1.727, dram::kMinVdd, 60.0},
+    {dram::kMaxTrefp, dram::kMinVdd, 50.0},
+    {dram::kMaxTrefp, dram::kMinVdd, 70.0},
+};
+
+TEST(Integrator, RunMatchesParentBitForBit)
+{
+    // RunResult of srad(par), seed 0, captured before the integrator's
+    // per-row work was restructured: the restructuring keeps every
+    // floating-point expression and summation order. Runs with a log
+    // draw extra record-sampling numbers, so they are pinned apart.
+    struct Pinned
+    {
+        bool crashed;
+        int crashEpoch;
+        int crashDevice;
+        std::size_t epochs;
+        std::uint64_t werDigest; ///< bitDigest(werSeries)
+        double expectedSdc;
+        std::vector<double> cePerDevice;
+        std::size_t records;     ///< logged records (log runs only)
+        std::uint64_t logDigest; ///< logDigest() (log runs only)
+    };
+    const Pinned without_log[] = {
+        {false, -1, -1, 120, 0x6efd673ec1cce7e9ull, 0x1.9dbae92724102p-28,
+         {0x1.434p+11, 0x1.cp+2, 0x1.b7p+11, 0x1.c8p+6, 0x1.a2p+7,
+          0x1.b76p+13, 0x1.f9p+8, 0x1.8p+2},
+         0, 0},
+        {false, -1, -1, 120, 0x7864a046133db0daull, 0x1.57c2f0925c8d3p-20,
+         {0x1.20d4p+14, 0x1.2cp+6, 0x1.708p+14, 0x1.118p+10, 0x1.d28p+10,
+          0x1.487ap+16, 0x1.f2ep+11, 0x1.84p+6},
+         0, 0},
+        {false, -1, -1, 120, 0x701845334077d821ull, 0x1.70bf1bee3ed9ap-29,
+         {0x1.57ep+11, 0x1.cp+2, 0x1.c82p+11, 0x1.fcp+6, 0x1.d8p+7,
+          0x1.b4e8p+13, 0x1.038p+9, 0x1p+3},
+         0, 0},
+        {true, 45, 6, 45, 0xc2c226b6e56bf73full, 0x1.2656359a26b34p-4,
+         {0x1.4da0cp+19, 0x1.06d8p+13, 0x1.913dep+19, 0x1.1dd7p+16,
+          0x1.c6abp+16, 0x1.085dc8p+21, 0x1.957bp+17, 0x1.636p+13},
+         0, 0},
+    };
+    const Pinned with_log[] = {
+        {false, -1, -1, 120, 0x0a2b28541dc3ae3full, 0x1.9dbae92724102p-28,
+         {0x1.488p+11, 0x1.cp+2, 0x1.ap+11, 0x1.14p+7, 0x1.8ep+7,
+          0x1.b96p+13, 0x1.eap+8, 0x1.8p+2},
+         256, 0x6f4407ab14c1a6fdull},
+        {false, -1, -1, 120, 0xd0fd746f9f4e7afcull, 0x1.57c2f0925c8d3p-20,
+         {0x1.280cp+14, 0x1.dp+5, 0x1.700cp+14, 0x1.0dp+10, 0x1.d94p+10,
+          0x1.4a2ep+16, 0x1.fb4p+11, 0x1.fcp+6},
+         256, 0x83644406085da9aeull},
+        {false, -1, -1, 120, 0x399e6de82b1ca511ull, 0x1.70bf1bee3ed9ap-29,
+         {0x1.6a2p+11, 0x1.8p+2, 0x1.bd4p+11, 0x1.08p+7, 0x1.b6p+7,
+          0x1.b47p+13, 0x1.19p+9, 0x1.4p+3},
+         255, 0xa3c3798992203caaull},
+        {true, 7, 5, 7, 0xd94347bc4983013aull, 0x1.6e492642ad504p-7,
+         {0x1.3b04p+17, 0x1.e9cp+10, 0x1.7947p+17, 0x1.115cp+14,
+          0x1.ab1cp+14, 0x1.f2794p+18, 0x1.7e9ap+15, 0x1.472p+11},
+         57, 0x4ed18d8baaad2778ull},
+    };
+
+    auto &platform = sharedPlatform();
+    const ErrorIntegrator integrator;
+    for (const bool logging : {false, true}) {
+        for (std::size_t i = 0; i < std::size(kPinnedPoints); ++i) {
+            const dram::OperatingPoint &op = kPinnedPoints[i];
+            const Pinned &want = logging ? with_log[i] : without_log[i];
+            SCOPED_TRACE(::testing::Message()
+                         << op.trefp << " s " << op.temperature << " C"
+                         << (logging ? " with log" : ""));
+            dram::ErrorLog log(platform.geometry());
+            const RunResult r = integrator.run(
+                sradPar(), op, platform.geometry(), platform.devices(), 0,
+                logging ? &log : nullptr);
+            EXPECT_EQ(r.crashed, want.crashed);
+            EXPECT_EQ(r.crashEpoch, want.crashEpoch);
+            EXPECT_EQ(r.crashDevice, want.crashDevice);
+            EXPECT_EQ(r.werSeries.size(), want.epochs);
+            EXPECT_EQ(bitDigest(r.werSeries), want.werDigest);
+            EXPECT_EQ(r.expectedSdc, want.expectedSdc);
+            EXPECT_EQ(r.cePerDevice, want.cePerDevice);
+            if (logging) {
+                EXPECT_EQ(log.records().size(), want.records);
+                EXPECT_EQ(logDigest(log), want.logDigest);
+            }
+        }
+    }
+}
+
+TEST(Integrator, AnalyzeRowsMatchesParentBitForBit)
+{
+    // Same capture as above: every device's row view (rowIndex,
+    // ceLambda, suppression, interferenceDelta per row).
+    const std::uint64_t want[] = {0xd6cbc2bcc8d9d1a6ull, 0x38a612be737eb651ull,
+                                  0x4117fa4b89616fa6ull, 0xbb771fb52c1177e5ull};
+    auto &platform = sharedPlatform();
+    const ErrorIntegrator integrator;
+    for (std::size_t i = 0; i < std::size(kPinnedPoints); ++i) {
+        std::vector<double> fields;
+        for (int d = 0; d < platform.geometry().deviceCount(); ++d)
+            for (const auto &row : integrator.analyzeRows(
+                     sradPar(), kPinnedPoints[i], platform.geometry(),
+                     platform.devices()[d], d))
+                for (const double f :
+                     {double(row.rowIndex), row.ceLambda, row.suppression,
+                      row.interferenceDelta})
+                    fields.push_back(f);
+        EXPECT_EQ(fields.size(), 8192u);
+        EXPECT_EQ(bitDigest(fields), want[i]) << kPinnedPoints[i].trefp;
+    }
+}
+
+TEST(Integrator, NeighbourLookupMatchesMapOracle)
+{
+    auto &platform = sharedPlatform();
+    const auto &geometry = platform.geometry();
+    const std::uint64_t rows_per_bank = geometry.params().rowsPerBank;
+    const std::uint64_t device_rows =
+        rows_per_bank * static_cast<std::uint64_t>(
+                            geometry.params().banksPerRank);
+
+    // A victim whose physical row ends in all ones: its upper neighbour
+    // (phys + 1) ^ key carries into the top bit and lands far away in
+    // logical order (and that row's lower neighbour is the victim, far
+    // back).
+    const std::uint64_t trailing_phys = rows_per_bank / 2 - 1;
+    dram::DramDevice::Variation var;
+    var.rowScrambleKey =
+        static_cast<std::uint32_t>(0x5a5 & (rows_per_bank - 1));
+    const dram::DramDevice device(dram::DeviceId{0, 0}, var);
+    const std::uint64_t key = var.rowScrambleKey;
+    const std::uint64_t far_victim = rows_per_bank + (trailing_phys ^ key);
+    const std::uint64_t far_aggressor =
+        rows_per_bank + ((trailing_phys + 1) ^ key);
+    ASSERT_GT(std::max(far_victim, far_aggressor) -
+                  std::min(far_victim, far_aggressor),
+              rows_per_bank / 4);
+
+    std::set<std::uint64_t> indices = {
+        0, 1, device_rows - 1,                     // first and last rows
+        rows_per_bank - 1, rows_per_bank,          // bank boundary
+        2 * rows_per_bank - 1, 2 * rows_per_bank,  // bank boundary
+        far_victim, far_aggressor,                 // trailing ones
+    };
+    // Sparse rows elsewhere: most of their neighbours are absent.
+    Rng rng(0x0dd);
+    while (indices.size() < 400)
+        indices.insert(rng.uniformInt(device_rows));
+    // A dense stretch: neighbours present on both sides.
+    for (std::uint64_t r = 3 * rows_per_bank; r < 3 * rows_per_bank + 64;
+         ++r)
+        indices.insert(r);
+
+    features::WorkloadProfile profile;
+    profile.footprintWords = 1 << 18;
+    profile.deviceRows.resize(1);
+    std::map<std::uint64_t, double> oracle;
+    for (const std::uint64_t index : indices) {
+        features::RowStat row;
+        row.rowIndex = index;
+        // Distinct, below the widening's saturation.
+        row.activationRate = 0.5 + 0.25 * static_cast<double>(oracle.size());
+        row.touchedWords = 4;
+        profile.deviceRows[0].push_back(row);
+        oracle[index] = row.activationRate;
+    }
+
+    const dram::OperatingPoint op{1.173, dram::kMinVdd, 60.0};
+    const ErrorIntegrator integrator;
+    const dram::InterferenceModel interference(
+        integrator.params().interference);
+    const auto rows =
+        integrator.analyzeRows(profile, op, geometry, device, 0);
+    ASSERT_EQ(rows.size(), indices.size());
+
+    int disturbed = 0;
+    for (const auto &row : rows) {
+        const std::uint64_t bank_base =
+            row.rowIndex / rows_per_bank * rows_per_bank;
+        const std::uint64_t phys = (row.rowIndex % rows_per_bank) ^ key;
+        double rate = 0.0;
+        for (const std::int64_t d : {-1, +1}) {
+            const std::int64_t n = static_cast<std::int64_t>(phys) + d;
+            if (n < 0 || n >= static_cast<std::int64_t>(rows_per_bank))
+                continue;
+            const auto it = oracle.find(
+                bank_base + (static_cast<std::uint64_t>(n) ^ key));
+            if (it != oracle.end())
+                rate += it->second;
+        }
+        const double want = interference.thresholdWidening(rate, op.trefp);
+        EXPECT_EQ(row.interferenceDelta, want) << row.rowIndex;
+        disturbed += want > 0.0;
+        if (row.rowIndex == far_victim || row.rowIndex == far_aggressor) {
+            EXPECT_GT(row.interferenceDelta, 0.0);
+        }
+    }
+    EXPECT_GT(disturbed, 64);
+    EXPECT_LT(disturbed, static_cast<int>(rows.size()));
+}
+
+TEST(IntegratorDeath, UnsortedProfilePanics)
+{
+    auto &platform = sharedPlatform();
+    features::WorkloadProfile unsorted = profileOf("srad", 8);
+    auto &rows = unsorted.deviceRows[0];
+    ASSERT_GE(rows.size(), 2u);
+    std::swap(rows[0], rows[1]);
+    EXPECT_DEATH(ErrorIntegrator().run(unsorted, dram::OperatingPoint{},
+                                       platform.geometry(),
+                                       platform.devices()),
+                 "strictly ascending");
 }
 
 TEST(IntegratorDeath, MismatchedDevicePopulationPanics)

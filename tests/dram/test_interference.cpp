@@ -80,6 +80,10 @@ TEST(InterferenceDeath, BadParamsAreFatal)
     q.refActivations = 0.0;
     EXPECT_EXIT(InterferenceModel{q}, ::testing::ExitedWithCode(1),
                 "refActivations");
+    InterferenceModel::Params r;
+    r.maxDelta = -0.5;
+    EXPECT_EXIT(InterferenceModel{r}, ::testing::ExitedWithCode(1),
+                "maxDelta");
 }
 
 } // namespace
