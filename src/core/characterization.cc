@@ -164,18 +164,13 @@ CharacterizationCampaign::measureOn(sys::Platform &platform,
         obs::publishCounter("campaign.crashes",
                             "experiments ended by a UE");
     const double wer = m.run.wer();
-    if (wer > 0.0) {
-        obs::publishDistribution("campaign.wer_log10", -14.0, 0.0, 28,
-                                 "log10 of measured aggregate WER",
-                                 std::log10(wer));
-        // Log-bucketed companion with streaming quantiles: WER spans
-        // ~10 decades across the grid, exactly the log-bucket sweet
-        // spot. Deferral-aware so checkpoint replay reproduces
-        // bit-identical quantiles.
+    // WER spans ~10 decades across the grid, exactly the log-bucket
+    // sweet spot. Deferral-aware so checkpoint replay reproduces a
+    // bit-identical histogram.
+    if (wer > 0.0)
         obs::publishHistogram("campaign.wer",
                               "measured aggregate WER per experiment",
                               wer);
-    }
 
     auto &sink = obs::EventSink::instance();
     if (sink.enabled()) {
@@ -410,16 +405,25 @@ CharacterizationCampaign::measurePue(
     DFAULT_ASSERT(repeats > 0, "PUE needs at least one repeat");
     const obs::ScopedTimer pue_timer("pue");
     prepareReplicas();
+    // As in sweep(): each repeat's stats are buffered and applied in
+    // repeat order on this thread, so float sums do not depend on the
+    // schedule.
+    std::vector<std::vector<obs::StatOp>> repeat_ops(
+        static_cast<std::size_t>(repeats));
     const auto crashed = par::Pool::global().parallelMap<char>(
-        static_cast<std::size_t>(repeats), [&](std::size_t r) {
+        repeat_ops.size(), [&](std::size_t r) {
+            obs::StatsDeferral deferral;
             const Measurement m =
                 measureOn(slotPlatform(), config, op,
                           static_cast<std::uint64_t>(r) + 1, nullptr);
+            repeat_ops[r] = deferral.take();
             return static_cast<char>(m.run.crashed ? 1 : 0);
         });
     int crashes = 0;
-    for (const char c : crashed)
-        crashes += c;
+    for (std::size_t r = 0; r < crashed.size(); ++r) {
+        obs::applyStatOps(repeat_ops[r]);
+        crashes += crashed[r];
+    }
     return static_cast<double>(crashes) / static_cast<double>(repeats);
 }
 

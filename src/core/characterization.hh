@@ -135,7 +135,9 @@ class CharacterizationCampaign
     /**
      * Probability of a UE for each workload at @p op from @p repeats
      * independent runs (paper Eq. 3: crashes / experiments). Repeats
-     * run in parallel, each seeded by its repeat index.
+     * run in parallel, each seeded by its repeat index; their stats
+     * reach the registry in repeat order, identical at any thread
+     * count.
      */
     double measurePue(const workloads::WorkloadConfig &config,
                       const dram::OperatingPoint &op, int repeats);

@@ -22,8 +22,6 @@ opKindTag(StatOp::Kind kind)
         return "ga";
       case StatOp::Kind::GaugeSet:
         return "gs";
-      case StatOp::Kind::DistRecord:
-        return "d";
       case StatOp::Kind::HistRecord:
         return "h";
     }
@@ -39,8 +37,6 @@ opKindFromTag(const std::string &tag, StatOp::Kind &out)
         out = StatOp::Kind::GaugeAdd;
     else if (tag == "gs")
         out = StatOp::Kind::GaugeSet;
-    else if (tag == "d")
-        out = StatOp::Kind::DistRecord;
     else if (tag == "h")
         out = StatOp::Kind::HistRecord;
     else
@@ -95,7 +91,7 @@ publishCounter(const std::string &name, const std::string &description,
 {
     if (t_active != nullptr) {
         deferralCapture({StatOp::Kind::CounterInc, name, description,
-                         static_cast<double>(n), 0.0, 0.0, 0});
+                         static_cast<double>(n)});
         return;
     }
     Registry::instance().counter(name, description).inc(n);
@@ -106,8 +102,7 @@ publishGaugeAdd(const std::string &name, const std::string &description,
                 double delta)
 {
     if (t_active != nullptr) {
-        deferralCapture({StatOp::Kind::GaugeAdd, name, description, delta,
-                         0.0, 0.0, 0});
+        deferralCapture({StatOp::Kind::GaugeAdd, name, description, delta});
         return;
     }
     Registry::instance().gauge(name, description).add(delta);
@@ -118,26 +113,10 @@ publishGaugeSet(const std::string &name, const std::string &description,
                 double value)
 {
     if (t_active != nullptr) {
-        deferralCapture({StatOp::Kind::GaugeSet, name, description, value,
-                         0.0, 0.0, 0});
+        deferralCapture({StatOp::Kind::GaugeSet, name, description, value});
         return;
     }
     Registry::instance().gauge(name, description).set(value);
-}
-
-void
-publishDistribution(const std::string &name, double lo, double hi,
-                    int buckets, const std::string &description,
-                    double sample)
-{
-    if (t_active != nullptr) {
-        deferralCapture({StatOp::Kind::DistRecord, name, description,
-                         sample, lo, hi, buckets});
-        return;
-    }
-    Registry::instance()
-        .distribution(name, lo, hi, buckets, description)
-        .record(sample);
 }
 
 void
@@ -145,8 +124,8 @@ publishHistogram(const std::string &name, const std::string &description,
                  double sample)
 {
     if (t_active != nullptr) {
-        deferralCapture({StatOp::Kind::HistRecord, name, description,
-                         sample, 0.0, 0.0, 0});
+        deferralCapture(
+            {StatOp::Kind::HistRecord, name, description, sample});
         return;
     }
     Registry::instance().histogram(name, description).record(sample);
@@ -168,11 +147,6 @@ applyStatOps(const std::vector<StatOp> &ops, Registry *registry)
           case StatOp::Kind::GaugeSet:
             reg.gauge(op.name, op.description).set(op.value);
             break;
-          case StatOp::Kind::DistRecord:
-            reg.distribution(op.name, op.lo, op.hi, op.buckets,
-                             op.description)
-                .record(op.value);
-            break;
           case StatOp::Kind::HistRecord:
             reg.histogram(op.name, op.description).record(op.value);
             break;
@@ -193,11 +167,6 @@ statOpsJson(const std::vector<StatOp> &ops)
         if (!op.description.empty())
             w.field("desc", op.description);
         w.field("v", op.value);
-        if (op.kind == StatOp::Kind::DistRecord) {
-            w.field("lo", op.lo);
-            w.field("hi", op.hi);
-            w.field("b", op.buckets);
-        }
         out += w.str();
     }
     out += ']';
@@ -235,17 +204,6 @@ statOpsFromJson(const JsonValue &array, std::vector<StatOp> &out,
             desc != nullptr && desc->kind == JsonValue::Kind::String)
             op.description = desc->string;
         op.value = numberOrNan(*value);
-        if (op.kind == StatOp::Kind::DistRecord) {
-            const JsonValue *lo = item.find("lo");
-            const JsonValue *hi = item.find("hi");
-            const JsonValue *buckets = item.find("b");
-            if (lo == nullptr || hi == nullptr || buckets == nullptr ||
-                buckets->kind != JsonValue::Kind::Number)
-                return fail("stat ops: distribution entry missing lo/hi/b");
-            op.lo = numberOrNan(*lo);
-            op.hi = numberOrNan(*hi);
-            op.buckets = static_cast<int>(buckets->number);
-        }
         parsed.push_back(std::move(op));
     }
     out = std::move(parsed);

@@ -42,7 +42,6 @@ struct StatOp
         CounterInc,
         GaugeAdd,
         GaugeSet,
-        DistRecord,
         HistRecord,
     };
 
@@ -50,9 +49,6 @@ struct StatOp
     std::string name;
     std::string description;
     double value = 0.0; ///< increment / delta / new value / sample
-    double lo = 0.0;    ///< DistRecord histogram range
-    double hi = 0.0;
-    int buckets = 0;
 };
 
 /**
@@ -92,11 +88,6 @@ void publishGaugeAdd(const std::string &name, const std::string &description,
 void publishGaugeSet(const std::string &name, const std::string &description,
                      double value);
 
-/** Record into a distribution, or buffer the sample under a deferral. */
-void publishDistribution(const std::string &name, double lo, double hi,
-                         int buckets, const std::string &description,
-                         double sample);
-
 /**
  * Record into a log-bucketed histogram (obs/histogram.hh), or buffer
  * the sample under a deferral.
@@ -113,7 +104,9 @@ std::string statOpsJson(const std::vector<StatOp> &ops);
 
 /**
  * Parse a statOpsJson() array back. Returns false (and sets @p error)
- * on malformed input; @p out is untouched in that case.
+ * on malformed input, including a kind tag this build does not know
+ * (the retired "d" linear-distribution record among them); @p out is
+ * untouched in that case.
  */
 bool statOpsFromJson(const JsonValue &array, std::vector<StatOp> &out,
                      std::string *error = nullptr);

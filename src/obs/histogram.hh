@@ -3,10 +3,10 @@
  * Log-bucketed (HDR-style) mergeable histograms with streaming
  * quantiles.
  *
- * The registry's linear Distribution is the right tool for values with
- * a known narrow range (log10 WER in [-14, 0]); it is the wrong tool
- * for latencies, which span six orders of magnitude and whose serving
- * contract is the tail, not the mean. Histogram covers that case:
+ * The registry's one histogram type. It suits values that span many
+ * orders of magnitude — latencies, whose serving contract is the tail,
+ * and the measured WER, which spans ~10 decades across the grid — as
+ * well as narrow integer-valued ones (PID settle steps):
  *
  *  - buckets are logarithmic — each power-of-two octave is split into
  *    32 linear sub-buckets, bounding the relative error of any
@@ -23,13 +23,15 @@
  *    rank, i.e. a deterministic function of the bucket counts.
  *
  * Histograms register in the stats Registry under dotted paths like
- * any other stat (Registry::histogram()). They are *always* excluded
- * from manifest digests and stats_diff comparisons, like time.* and
- * par.*: their primary use is latency, and even for deterministic
- * values their mean/sum moments are float accumulations whose shard
- * partition depends on scheduling. The bucket counts and quantiles of
- * a deterministic value stream do reproduce exactly; CI compares them
- * across 1/2/8-thread runs.
+ * any other stat (Registry::histogram()), and like any other stat they
+ * are compared by manifest digests and stats_diff unless their *name*
+ * is excluded (obs::digestExcludes). Wall-clock histograms are named
+ * with a path segment ending in `_ns` (campaign.cell_ns, par.task_ns,
+ * serve.latency_ns.*), which the name rule excludes. A deterministic
+ * value stream (campaign.wer, thermal.settle_steps) is published
+ * through publishHistogram(), so a sweep applies it in cell order on
+ * one thread: its buckets, extrema, quantiles *and* its float sum are
+ * then bit-identical at any thread count.
  */
 
 #ifndef DFAULT_OBS_HISTOGRAM_HH
@@ -47,14 +49,15 @@ namespace dfault::obs {
 /**
  * Immutable merged view of a Histogram at one point in time. All
  * quantile math happens here, on plain integers, so two snapshots of
- * the same recorded multiset compare equal field for field (except
- * sum/mean, see file comment).
+ * the same recorded multiset compare equal field for field; sum/mean
+ * also match when the records arrive in the same order on one thread
+ * (see file comment).
  */
 struct HistogramSnapshot
 {
     std::uint64_t count = 0; ///< all records, including non-positive
     std::uint64_t zeros = 0; ///< records <= 0 (kept out of buckets)
-    double sum = 0.0;        ///< shard-order float sum (not digest-safe)
+    double sum = 0.0;        ///< float sum, added up in shard order
     double min = 0.0;        ///< exact smallest recorded value
     double max = 0.0;        ///< exact largest recorded value
 

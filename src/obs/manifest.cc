@@ -54,8 +54,10 @@ digestExcludes(const std::string &name)
     // journal.* records write-ahead-journal activity (segments
     // written, restores, quarantines), which differs between a
     // killed-and-resumed run and a clean one just like fi.* does.
-    // Histogram-kind stats are excluded by kind in statsDigest()
-    // regardless of name.
+    // A path segment ending in _ns holds wall-clock nanoseconds
+    // (campaign.cell_ns, serve.latency_ns.*) — the unit rule that
+    // "seconds" states for the other scale. Nothing is excluded by
+    // kind: a deterministic histogram (campaign.wer) is digested.
     return name.starts_with("time.") || name.starts_with("par.") ||
            name.starts_with("fi.") || name.starts_with("perf.") ||
            name.starts_with("alloc.") || name.starts_with("ts.") ||
@@ -63,6 +65,8 @@ digestExcludes(const std::string &name)
            name.starts_with("serve.live.") ||
            name.starts_with("journal.") ||
            name.find("seconds") != std::string::npos ||
+           name.ends_with("_ns") ||
+           name.find("_ns.") != std::string::npos ||
            name.find("last_") != std::string::npos;
 }
 
@@ -72,22 +76,32 @@ statsDigest(const Registry *registry)
     const Registry &reg =
         registry != nullptr ? *registry : Registry::instance();
     std::uint64_t hash = kFnvOffset64;
-    for (const std::string &name : reg.names()) {
-        if (digestExcludes(name))
+    char value[96];
+    for (const StatSample &s : reg.sample()) {
+        if (digestExcludes(s.name))
             continue;
-        // Latency histograms vary run to run; even over deterministic
-        // values their mean is a shard-partition-dependent float sum.
-        if (reg.kindOf(name) == StatKind::Histogram)
-            continue;
-        hash = fnv1a64(name, hash);
+        hash = fnv1a64(s.name, hash);
         hash = fnv1a64("=", hash);
         // 9 significant digits: enough to catch any real drift, few
         // enough that float-sum reassociation across thread counts
-        // (last-ulp differences in distribution means and accumulated
-        // gauges) cannot perturb the digest.
-        char value[40];
-        std::snprintf(value, sizeof(value), "%.9g", reg.value(name));
+        // (last-ulp differences in accumulated gauges) cannot perturb
+        // the digest.
+        std::snprintf(value, sizeof(value), "%.9g", s.value);
         hash = fnv1a64(value, hash);
+        if (s.hist) {
+            // A histogram's mean alone could hide a moved record; its
+            // integer buckets and exact extrema pin the multiset.
+            std::snprintf(value, sizeof(value), " %llu %llu %.17g %.17g",
+                          static_cast<unsigned long long>(s.hist->count),
+                          static_cast<unsigned long long>(s.hist->zeros),
+                          s.hist->min, s.hist->max);
+            hash = fnv1a64(value, hash);
+            for (const auto &[index, n] : s.hist->buckets) {
+                std::snprintf(value, sizeof(value), " %d:%llu", index,
+                              static_cast<unsigned long long>(n));
+                hash = fnv1a64(value, hash);
+            }
+        }
         hash = fnv1a64("\n", hash);
     }
     return hash;
@@ -166,8 +180,7 @@ manifestJson(const ManifestInfo &info, const Registry *registry)
     stats.field("total", static_cast<std::uint64_t>(reg.size()));
     std::uint64_t digested = 0;
     for (const std::string &name : reg.names())
-        if (!digestExcludes(name) &&
-            reg.kindOf(name) != StatKind::Histogram)
+        if (!digestExcludes(name))
             ++digested;
     stats.field("digested", digested);
     char digest[24];

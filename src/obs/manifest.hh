@@ -9,8 +9,11 @@
  *
  * The digest deliberately excludes scheduling- and host-dependent
  * stats (the time.* phase gauges, the whole par.* subtree — steal
- * counts depend on scheduling — anything holding seconds, and last_*
- * last-writer-wins gauges), and hashes values at 9 significant
+ * counts depend on scheduling — anything holding seconds or, in a
+ * path segment ending in `_ns`, wall-clock nanoseconds, and last_*
+ * last-writer-wins gauges). The rule is by name only: every other
+ * stat of any kind is digested, a histogram by its mean, count,
+ * extrema and bucket counts. Values are hashed at 9 significant
  * digits so float-sum reassociation across thread counts cannot
  * perturb it: two runs with the same seed and config produce the
  * same digest at any thread count, so a figure whose manifest digest
@@ -63,7 +66,11 @@ struct ManifestInfo
  */
 std::uint64_t statsDigest(const Registry *registry = nullptr);
 
-/** True when @p name is excluded from the digest as nondeterministic. */
+/**
+ * True when @p name is excluded from the digest as nondeterministic.
+ * The only rule deciding digest membership; tools/stats_diff's
+ * DEFAULT_IGNORES mirrors it.
+ */
 bool digestExcludes(const std::string &name);
 
 /** Compiler / sanitizer / assertion flavor as a JSON object. */

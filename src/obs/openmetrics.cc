@@ -76,27 +76,6 @@ appendBucket(std::string &out, const std::string &name,
 }
 
 void
-appendDistribution(std::string &out, const std::string &name,
-                   const std::string &description,
-                   const DistributionSnapshot &snap)
-{
-    appendMeta(out, name, "histogram", description);
-    const double width =
-        (snap.hi - snap.lo) / static_cast<double>(snap.buckets.size());
-    std::uint64_t cumulative = snap.underflow;
-    for (std::size_t i = 0; i < snap.buckets.size(); ++i) {
-        cumulative += snap.buckets[i];
-        const double edge = snap.lo + width * static_cast<double>(i + 1);
-        appendBucket(out, name, omNumber(edge), cumulative);
-    }
-    // One lock produced the snapshot, so count is exactly the buckets
-    // plus both overflow bins and the +Inf line can use it directly.
-    appendBucket(out, name, "+Inf", snap.count);
-    out += name + "_count " + std::to_string(snap.count) + "\n";
-    out += name + "_sum " + omNumber(snap.sum) + "\n";
-}
-
-void
 appendHistogram(std::string &out, const std::string &name,
                 const std::string &description,
                 const HistogramSnapshot &snap)
@@ -170,10 +149,6 @@ openMetricsText(const std::vector<StatSample> &samples)
           case StatKind::Gauge:
           case StatKind::Formula:
             appendGauge(out, name, s.description, s.value);
-            break;
-          case StatKind::Distribution:
-            if (s.dist)
-                appendDistribution(out, name, s.description, *s.dist);
             break;
           case StatKind::Histogram:
             if (s.hist)

@@ -4,9 +4,8 @@
  *
  * openMetricsText() renders a registry sample as an OpenMetrics 1.0
  * document: counters become `<name>_total`, gauges and formulas plain
- * gauges, and both linear Distributions and log-bucketed Histograms
- * become OpenMetrics histograms with cumulative `le`-labelled buckets,
- * `_sum` and `_count`. Log-bucketed histograms additionally expose
+ * gauges, and log-bucketed Histograms become OpenMetrics histograms
+ * with cumulative `le`-labelled buckets, `_sum` and `_count`, plus
  * their streaming quantiles and extrema as companion gauge families
  * (`<name>_p50/_p90/_p99/_p999/_min/_max`), since one family cannot be
  * both a histogram and a summary. Dotted stat paths are sanitized to

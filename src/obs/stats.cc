@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <limits>
 
 #include "common/logging.hh"
 #include "fi/durable.hh"
@@ -42,130 +41,12 @@ statKindName(StatKind kind)
         return "counter";
       case StatKind::Gauge:
         return "gauge";
-      case StatKind::Distribution:
-        return "distribution";
       case StatKind::Formula:
         return "formula";
       case StatKind::Histogram:
         return "histogram";
     }
     DFAULT_PANIC("unreachable stat kind");
-}
-
-Distribution::Distribution(double lo, double hi, int buckets)
-    : lo_(lo), hi_(hi),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity())
-{
-    DFAULT_ASSERT(hi > lo, "distribution range must be non-empty");
-    DFAULT_ASSERT(buckets > 0, "distribution needs at least one bucket");
-    buckets_.assign(static_cast<std::size_t>(buckets), 0);
-}
-
-void
-Distribution::record(double x)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++count_;
-    sum_ += x;
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-    if (x < lo_) {
-        ++underflow_;
-    } else if (x >= hi_) {
-        ++overflow_;
-    } else {
-        const auto idx = static_cast<std::size_t>(
-            (x - lo_) / (hi_ - lo_) *
-            static_cast<double>(buckets_.size()));
-        ++buckets_[std::min(idx, buckets_.size() - 1)];
-    }
-}
-
-std::uint64_t
-Distribution::count() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return count_;
-}
-
-double
-Distribution::sum() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return sum_;
-}
-
-double
-Distribution::mean() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double
-Distribution::minSeen() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return min_;
-}
-
-double
-Distribution::maxSeen() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return max_;
-}
-
-std::uint64_t
-Distribution::bucket(int i) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    DFAULT_ASSERT(i >= 0 && i < static_cast<int>(buckets_.size()),
-                  "distribution bucket index out of range");
-    return buckets_[static_cast<std::size_t>(i)];
-}
-
-std::uint64_t
-Distribution::underflow() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return underflow_;
-}
-
-std::uint64_t
-Distribution::overflow() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return overflow_;
-}
-
-DistributionSnapshot
-Distribution::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    DistributionSnapshot snap;
-    snap.lo = lo_;
-    snap.hi = hi_;
-    snap.buckets = buckets_;
-    snap.underflow = underflow_;
-    snap.overflow = overflow_;
-    snap.count = count_;
-    snap.sum = sum_;
-    snap.min = count_ > 0 ? min_ : 0.0;
-    snap.max = count_ > 0 ? max_ : 0.0;
-    return snap;
-}
-
-void
-Distribution::reset()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    buckets_.assign(buckets_.size(), 0);
-    underflow_ = overflow_ = count_ = 0;
-    sum_ = 0.0;
-    min_ = std::numeric_limits<double>::infinity();
-    max_ = -std::numeric_limits<double>::infinity();
 }
 
 Registry &
@@ -214,17 +95,6 @@ Registry::gauge(const std::string &name, const std::string &description)
     if (!e.gauge)
         e.gauge = std::make_unique<Gauge>();
     return *e.gauge;
-}
-
-Distribution &
-Registry::distribution(const std::string &name, double lo, double hi,
-                       int buckets, const std::string &description)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Entry &e = findOrCreate(name, StatKind::Distribution, description);
-    if (!e.distribution)
-        e.distribution = std::make_unique<Distribution>(lo, hi, buckets);
-    return *e.distribution;
 }
 
 Formula &
@@ -297,8 +167,6 @@ Registry::value(const std::string &name) const
         return static_cast<double>(e.counter->value());
       case StatKind::Gauge:
         return e.gauge->value();
-      case StatKind::Distribution:
-        return e.distribution->mean();
       case StatKind::Formula:
         return e.formula->value();
       case StatKind::Histogram:
@@ -325,13 +193,6 @@ Registry::sample() const
           case StatKind::Gauge:
             s.value = e.gauge->value();
             break;
-          case StatKind::Distribution:
-            s.dist = e.distribution->snapshot();
-            s.value = s.dist->count > 0
-                          ? s.dist->sum /
-                                static_cast<double>(s.dist->count)
-                          : 0.0;
-            break;
           case StatKind::Formula:
             s.value = e.formula->value();
             break;
@@ -357,9 +218,6 @@ Registry::resetAll()
             break;
           case StatKind::Gauge:
             e.gauge->reset();
-            break;
-          case StatKind::Distribution:
-            e.distribution->reset();
             break;
           case StatKind::Formula:
             break; // derived; re-evaluates from its inputs
@@ -393,48 +251,6 @@ Registry::dumpText(std::FILE *out) const
             std::fprintf(out, "%-44s %20.6g  # %s\n", name.c_str(),
                          e.formula->value(), desc);
             break;
-          case StatKind::Distribution: {
-            const Distribution &d = *e.distribution;
-            std::fprintf(out, "%-44s %20llu  # %s (count)\n",
-                         (name + ".count").c_str(),
-                         static_cast<unsigned long long>(d.count()),
-                         desc);
-            if (d.count() == 0)
-                break;
-            std::fprintf(out, "%-44s %20.6g  # mean\n",
-                         (name + ".mean").c_str(), d.mean());
-            std::fprintf(out, "%-44s %20.6g  # min\n",
-                         (name + ".min").c_str(), d.minSeen());
-            std::fprintf(out, "%-44s %20.6g  # max\n",
-                         (name + ".max").c_str(), d.maxSeen());
-            const double width =
-                (d.hi() - d.lo()) / d.bucketCount();
-            for (int i = 0; i < d.bucketCount(); ++i) {
-                if (d.bucket(i) == 0)
-                    continue;
-                std::fprintf(out,
-                             "%-44s %20llu  # [%g, %g)\n",
-                             (name + ".bucket." + std::to_string(i))
-                                 .c_str(),
-                             static_cast<unsigned long long>(
-                                 d.bucket(i)),
-                             d.lo() + i * width,
-                             d.lo() + (i + 1) * width);
-            }
-            if (d.underflow() > 0)
-                std::fprintf(out, "%-44s %20llu  # < %g\n",
-                             (name + ".underflow").c_str(),
-                             static_cast<unsigned long long>(
-                                 d.underflow()),
-                             d.lo());
-            if (d.overflow() > 0)
-                std::fprintf(out, "%-44s %20llu  # >= %g\n",
-                             (name + ".overflow").c_str(),
-                             static_cast<unsigned long long>(
-                                 d.overflow()),
-                             d.hi());
-            break;
-          }
           case StatKind::Histogram: {
             const HistogramSnapshot snap = e.histogram->snapshot();
             std::fprintf(out, "%-44s %20llu  # %s (count)\n",
@@ -480,35 +296,10 @@ Registry::toJson() const
           case StatKind::Formula:
             root.field(kv.first, e.formula->value());
             break;
-          case StatKind::Distribution: {
-            const Distribution &d = *e.distribution;
-            JsonWriter sub;
-            sub.field("count", d.count());
-            if (d.count() > 0) {
-                sub.field("mean", d.mean());
-                sub.field("min", d.minSeen());
-                sub.field("max", d.maxSeen());
-            }
-            sub.field("lo", d.lo());
-            sub.field("hi", d.hi());
-            std::string buckets = "[";
-            for (int i = 0; i < d.bucketCount(); ++i) {
-                if (i > 0)
-                    buckets += ',';
-                buckets += std::to_string(d.bucket(i));
-            }
-            buckets += ']';
-            sub.fieldRaw("buckets", buckets);
-            sub.field("underflow", d.underflow());
-            sub.field("overflow", d.overflow());
-            root.fieldRaw(kv.first, sub.str());
-            break;
-          }
           case StatKind::Histogram: {
-            // The "kind" marker lets consumers (tools/stats_diff, CI
-            // validators) recognize and exclude histograms without a
-            // name convention: quantiles of latency streams are
-            // host-dependent by nature.
+            // The "kind" marker tells a JSON consumer the object is a
+            // histogram; whether it is compared is decided by its name
+            // (obs::digestExcludes), like every other stat.
             const HistogramSnapshot snap = e.histogram->snapshot();
             JsonWriter sub;
             sub.field("kind", "histogram");

@@ -7,14 +7,14 @@
  *
  *  - Counter       monotonically increasing integer (events, commands);
  *  - Gauge         last-written / accumulated floating-point value;
- *  - Distribution  fixed-width linear histogram with under/overflow
- *                  bins plus count/sum/min/max moments;
  *  - Formula       value derived from other stats at dump time
  *                  (ratios, rates), evaluated lazily;
- *  - Histogram     log-bucketed mergeable latency/value histogram with
- *                  streaming quantiles (obs/histogram.hh), recorded
- *                  via thread-local shards and always excluded from
- *                  manifest digests and stats_diff comparisons.
+ *  - Histogram     log-bucketed mergeable histogram with streaming
+ *                  quantiles (obs/histogram.hh), recorded via
+ *                  thread-local shards.
+ *
+ * Which stats a manifest digest or stats_diff compares is decided by
+ * name alone (obs::digestExcludes), never by kind.
  *
  * Instrumented components resolve their stats once (construction or
  * first publish) and then touch plain atomics, so the steady-state cost
@@ -50,12 +50,11 @@ enum class StatKind
 {
     Counter,
     Gauge,
-    Distribution,
     Formula,
     Histogram,
 };
 
-/** "counter" / "gauge" / "distribution" / "formula" / "histogram". */
+/** "counter" / "gauge" / "formula" / "histogram". */
 std::string statKindName(StatKind kind);
 
 /** Monotonic event counter. */
@@ -114,68 +113,10 @@ class Gauge
     std::atomic<double> value_{0.0};
 };
 
-/** Consistent point-in-time view of one Distribution (one lock). */
-struct DistributionSnapshot
-{
-    double lo = 0.0;
-    double hi = 0.0;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t underflow = 0;
-    std::uint64_t overflow = 0;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0; ///< 0 when empty
-    double max = 0.0; ///< 0 when empty
-};
-
-/**
- * Linear fixed-width histogram over [lo, hi) with @p buckets bins plus
- * dedicated underflow/overflow bins, and running count/sum/min/max.
- */
-class Distribution
-{
-  public:
-    Distribution(double lo, double hi, int buckets);
-
-    void record(double x);
-
-    /** All moments and buckets under one lock acquisition, so the
-     *  counts are mutually consistent even under concurrent record()
-     *  (count always equals underflow + buckets + overflow). */
-    DistributionSnapshot snapshot() const;
-
-    double lo() const { return lo_; }
-    double hi() const { return hi_; }
-    int bucketCount() const { return static_cast<int>(buckets_.size()); }
-
-    std::uint64_t count() const;
-    double sum() const;
-    double mean() const;
-    double minSeen() const; ///< +inf until the first record()
-    double maxSeen() const; ///< -inf until the first record()
-    std::uint64_t bucket(int i) const;
-    std::uint64_t underflow() const;
-    std::uint64_t overflow() const;
-
-    void reset();
-
-  private:
-    const double lo_;
-    const double hi_;
-    mutable std::mutex mutex_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_;
-    double max_;
-};
-
 /**
  * One stat as seen by a telemetry consumer (the sampler, the
- * OpenMetrics writer): name, kind, description and a scalar view,
- * plus the full snapshot for distribution/histogram kinds. Produced
+ * OpenMetrics writer, the manifest digest): name, kind, description
+ * and a scalar view, plus the full snapshot for histograms. Produced
  * by Registry::sample().
  */
 struct StatSample
@@ -183,9 +124,8 @@ struct StatSample
     std::string name;
     StatKind kind = StatKind::Counter;
     std::string description;
-    /** Counter/gauge/formula value; distribution and histogram mean. */
+    /** Counter/gauge/formula value; histogram mean. */
     double value = 0.0;
-    std::optional<DistributionSnapshot> dist;
     std::optional<HistogramSnapshot> hist;
 };
 
@@ -221,9 +161,6 @@ class Registry
                      const std::string &description = "");
     Gauge &gauge(const std::string &name,
                  const std::string &description = "");
-    Distribution &distribution(const std::string &name, double lo,
-                               double hi, int buckets,
-                               const std::string &description = "");
     Formula &formula(const std::string &name, std::function<double()> fn,
                      const std::string &description = "");
     Histogram &histogram(const std::string &name,
@@ -236,7 +173,7 @@ class Registry
     /** All registered names in sorted (hierarchical) order. */
     std::vector<std::string> names() const;
 
-    /** Scalar value of a stat (a Distribution reports its mean). */
+    /** Scalar value of a stat (a Histogram reports its mean). */
     double value(const std::string &name) const;
 
     /**
@@ -249,13 +186,13 @@ class Registry
      */
     std::vector<StatSample> sample() const;
 
-    /** Zero every counter/gauge/distribution; formulas re-derive. */
+    /** Zero every counter/gauge/histogram; formulas re-derive. */
     void resetAll();
 
     /**
      * gem5-style text dump: one "name  value  # description" line per
-     * stat in hierarchical order; distributions expand into .count/
-     * .mean/.min/.max lines plus one line per non-empty bucket.
+     * stat in hierarchical order; histograms expand into .count/
+     * .mean/.min/quantile/.max lines.
      */
     void dumpText(std::FILE *out) const;
 
@@ -276,7 +213,6 @@ class Registry
         std::string description;
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Distribution> distribution;
         std::unique_ptr<Formula> formula;
         std::unique_ptr<Histogram> histogram;
     };

@@ -24,7 +24,6 @@ TimeSeries::push(std::uint64_t tick, double value)
         ring_[head_] = {tick, value};
     }
     head_ = (head_ + 1) % capacity_;
-    ++total_;
 }
 
 TsSample
@@ -85,18 +84,6 @@ TimeSeries::ratePerSecond(std::size_t window,
     const double span =
         static_cast<double>(last.tick - first.tick) * interval_seconds;
     return delta / span;
-}
-
-double
-TimeSeries::ewma(double alpha) const
-{
-    if (size_ == 0)
-        return 0.0;
-    alpha = std::clamp(alpha, 0.0, 1.0);
-    double out = at(0).value;
-    for (std::size_t i = 1; i < size_; ++i)
-        out = alpha * at(i).value + (1.0 - alpha) * out;
-    return out;
 }
 
 TimeSeriesStore::TimeSeriesStore(std::size_t capacity)

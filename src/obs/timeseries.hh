@@ -13,7 +13,7 @@
  * Each series is a ring of the most recent `capacity` samples; pushes
  * past capacity overwrite the oldest sample (the stream's history of
  * record is the metrics scrape, not this buffer). Windowed aggregates
- * — rate per second, EWMA, window min/max — are computed on demand
+ * — rate per second, window min/max — are computed on demand
  * from the retained samples, folded oldest to newest, so they are a
  * pure function of the pushed sequence.
  *
@@ -53,9 +53,6 @@ class TimeSeries
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return capacity_; }
 
-    /** Samples ever pushed, including evicted ones. */
-    std::uint64_t totalPushed() const { return total_; }
-
     /** Sample @p i of the retained window; 0 is the oldest held. */
     TsSample at(std::size_t i) const;
 
@@ -77,19 +74,11 @@ class TimeSeries
      */
     double ratePerSecond(std::size_t window, double interval_seconds) const;
 
-    /**
-     * Exponentially weighted moving average over the whole retained
-     * window, folded oldest to newest: ewma = alpha*v + (1-alpha)*ewma,
-     * seeded with the oldest sample. 0 when empty.
-     */
-    double ewma(double alpha) const;
-
   private:
     std::size_t capacity_;
     std::vector<TsSample> ring_;
     std::size_t head_ = 0; ///< next write position
     std::size_t size_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 /** Name-keyed collection of series sharing one ring capacity. */

@@ -154,9 +154,9 @@ ThermalTestbed::stepUntilSettled(int max_steps)
     // capture the settle stats transactionally; outside a deferral
     // these apply immediately, as before.
     obs::publishCounter("thermal.settles", "PID settle attempts");
-    obs::publishDistribution("thermal.settle_steps", 0.0, 20000.0, 40,
-                             "control steps until the PID loop converged",
-                             static_cast<double>(steps));
+    obs::publishHistogram("thermal.settle_steps",
+                          "control steps until the PID loop converged",
+                          static_cast<double>(steps));
     if (!settled)
         obs::publishCounter("thermal.settle_failures",
                             "settle attempts that hit the step limit");

@@ -1,12 +1,17 @@
 /**
  * @file
  * Unit tests for the characterization campaign driver: thermal-loop
- * coupling, sweep bookkeeping, and the operating-point grids.
+ * coupling, sweep bookkeeping, PUE stats at any pool size, and the
+ * operating-point grids.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/characterization.hh"
+#include "obs/json.hh"
+#include "obs/manifest.hh"
+#include "obs/stats.hh"
+#include "par/pool.hh"
 
 namespace dfault::core {
 namespace {
@@ -77,6 +82,75 @@ TEST(Campaign, MeasurePueCountsCrashes)
     const double mild = campaign.measurePue(
         {"kmeans", 8, "kmeans(par)"}, {0.618, dram::kMinVdd, 50.0}, 3);
     EXPECT_DOUBLE_EQ(mild, 0.0);
+}
+
+/** @p v as canonical JSON text, numbers round-trip exact. */
+std::string
+canonicalJson(const obs::JsonValue &v)
+{
+    switch (v.kind) {
+      case obs::JsonValue::Kind::Null:
+        return "null";
+      case obs::JsonValue::Kind::Bool:
+        return v.boolean ? "true" : "false";
+      case obs::JsonValue::Kind::Number:
+        return obs::jsonNumber(v.number);
+      case obs::JsonValue::Kind::String:
+        return "\"" + obs::jsonEscape(v.string) + "\"";
+      case obs::JsonValue::Kind::Array: {
+        std::string out = "[";
+        for (const obs::JsonValue &item : v.array)
+            out += canonicalJson(item) + ",";
+        return out + "]";
+      }
+      case obs::JsonValue::Kind::Object: {
+        std::string out = "{";
+        for (const auto &[key, item] : v.object)
+            out += "\"" + key + "\":" + canonicalJson(item) + ",";
+        return out + "}";
+      }
+    }
+    return "";
+}
+
+/** The registry's digested stats, one "name=json" line each. */
+std::string
+digestedStatsJson()
+{
+    const auto doc = obs::jsonParse(obs::Registry::instance().toJson());
+    EXPECT_TRUE(doc.has_value());
+    std::string out;
+    for (const auto &[name, value] : doc->object)
+        if (!obs::digestExcludes(name))
+            out += name + "=" + canonicalJson(value) + "\n";
+    return out;
+}
+
+TEST(Campaign, MeasurePueStatsAreScheduleIndependent)
+{
+    // Repeats run on pool workers; the stats they publish (float sums
+    // such as the campaign.wer histogram mean included) must not
+    // depend on which worker ran which repeat.
+    const int threads_before = par::Pool::global().threads();
+    CharacterizationCampaign campaign(sharedPlatform(),
+                                      smallParams(true));
+    const workloads::WorkloadConfig config{"srad", 8, "srad(par)"};
+    const auto points = werOperatingPoints();
+    campaign.measurePue(config, points[0], 1); // warm the profile cache
+
+    std::vector<std::string> runs;
+    for (const int threads : {1, 4}) {
+        par::Pool::setGlobalThreads(threads);
+        obs::Registry::instance().resetAll();
+        for (const dram::OperatingPoint &op : points)
+            campaign.measurePue(config, op, 4);
+        runs.push_back(digestedStatsJson());
+    }
+    par::Pool::setGlobalThreads(threads_before);
+
+    EXPECT_NE(runs[0].find("campaign.wer={"), std::string::npos);
+    EXPECT_NE(runs[0].find("thermal.settle_steps={"), std::string::npos);
+    EXPECT_EQ(runs[1], runs[0]);
 }
 
 TEST(Campaign, OperatingPointGridsMatchThePaper)

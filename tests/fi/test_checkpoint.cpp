@@ -124,9 +124,9 @@ TEST(CheckpointCellJson, RoundTripIsExact)
     cell.statOps.push_back(
         {obs::StatOp::Kind::CounterInc, "campaign.measurements",
          "characterization experiments completed", 1.0});
-    cell.statOps.push_back({obs::StatOp::Kind::DistRecord,
-                            "campaign.wer_log10", "log10 of WER",
-                            -8.7654321012345678, -14.0, 0.0, 28});
+    cell.statOps.push_back({obs::StatOp::Kind::HistRecord, "campaign.wer",
+                            "measured aggregate WER per experiment",
+                            1.7654321012345678e-6});
 
     const std::uint64_t digest = 0xabcdef0123456789ULL;
     const std::string text = checkpointCellJson(cell, digest);
@@ -156,9 +156,43 @@ TEST(CheckpointCellJson, RoundTripIsExact)
     ASSERT_EQ(loaded.statOps.size(), 2u);
     EXPECT_EQ(loaded.statOps[0].kind, obs::StatOp::Kind::CounterInc);
     EXPECT_EQ(loaded.statOps[0].name, "campaign.measurements");
-    EXPECT_EQ(loaded.statOps[1].kind, obs::StatOp::Kind::DistRecord);
-    EXPECT_EQ(loaded.statOps[1].value, -8.7654321012345678);
-    EXPECT_EQ(loaded.statOps[1].buckets, 28);
+    EXPECT_EQ(loaded.statOps[1].kind, obs::StatOp::Kind::HistRecord);
+    EXPECT_EQ(loaded.statOps[1].value, 1.7654321012345678e-6);
+}
+
+/**
+ * The cell as an older build wrote it: its campaign.wer_log10 op
+ * carries the retired linear-distribution tag "d" with that kind's
+ * range fields.
+ */
+std::string
+cellWithRetiredDistributionOp(std::uint64_t digest)
+{
+    CheckpointCell cell;
+    cell.cell = 0;
+    cell.measurement = someMeasurement();
+    cell.statOps.push_back({obs::StatOp::Kind::HistRecord,
+                            "campaign.wer_log10",
+                            "log10 of measured aggregate WER", -5.25});
+    std::string text = checkpointCellJson(cell, digest);
+    const std::size_t tag = text.find("\"k\":\"h\"");
+    EXPECT_NE(tag, std::string::npos);
+    text.replace(tag, 7, "\"k\":\"d\"");
+    text.insert(text.find('}', tag), ",\"lo\":-14,\"hi\":0,\"b\":28");
+    return text;
+}
+
+TEST(CheckpointCellJson, RejectsRetiredDistributionOp)
+{
+    // Rejected whole, never partly applied: the RecordDir path then
+    // quarantines the file and the sweep re-measures the cell.
+    CheckpointCell out;
+    std::string error;
+    EXPECT_FALSE(checkpointCellFromJson(cellWithRetiredDistributionOp(7),
+                                        7, out, &error));
+    EXPECT_NE(error.find("unknown kind tag 'd'"), std::string::npos)
+        << error;
+    EXPECT_TRUE(out.statOps.empty());
 }
 
 TEST(CheckpointCellJson, RejectsWrongDigestAndGarbage)
@@ -259,6 +293,26 @@ TEST_F(JournalTest, TornCellIsQuarantined)
     EXPECT_TRUE(std::filesystem::exists(dir +
                                         "/cell-000000.json.quarantined"));
     EXPECT_FALSE(std::filesystem::exists(dir + "/cell-000000.json"));
+    EXPECT_EQ(reg.value("journal.quarantined_files"), 1.0);
+}
+
+TEST_F(JournalTest, CellFromAnOlderBuildIsQuarantined)
+{
+    obs::Registry reg;
+    CheckpointJournal journal;
+    journal.open(dir, 42, &reg);
+    CheckpointCell intact;
+    intact.cell = 1;
+    intact.measurement = someMeasurement();
+    ASSERT_TRUE(journal.store(intact));
+    ASSERT_TRUE(fi::atomicWriteFile(dir + "/cell-000000.json",
+                                    cellWithRetiredDistributionOp(42)));
+
+    const auto cells = journal.load(2);
+    ASSERT_EQ(cells.size(), 1u);
+    EXPECT_EQ(cells.begin()->first, 1u);
+    EXPECT_TRUE(std::filesystem::exists(dir +
+                                        "/cell-000000.json.quarantined"));
     EXPECT_EQ(reg.value("journal.quarantined_files"), 1.0);
 }
 

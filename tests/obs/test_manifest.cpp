@@ -8,6 +8,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -29,7 +31,16 @@ TEST(StatsDigest, ExcludesWallClockDependentStats)
 
     EXPECT_FALSE(digestExcludes("campaign.measurements"));
     EXPECT_FALSE(digestExcludes("ml.folds"));
-    EXPECT_FALSE(digestExcludes("campaign.wer_log10"));
+}
+
+TEST(StatsDigest, ExcludesWallClockHistogramsByName)
+{
+    // A path segment ending in _ns holds wall-clock nanoseconds.
+    EXPECT_TRUE(digestExcludes("campaign.cell_ns"));
+    EXPECT_TRUE(digestExcludes("serve.latency_ns.critical"));
+    // Deterministic histograms are digested like any other stat.
+    EXPECT_FALSE(digestExcludes("campaign.wer"));
+    EXPECT_FALSE(digestExcludes("thermal.settle_steps"));
 }
 
 TEST(StatsDigest, StableAcrossTimingVariation)
@@ -67,6 +78,30 @@ TEST(StatsDigest, ChangesWhenDeterministicStatsChange)
     Registry b;
     b.counter("campaign.measurements", "n").inc(13);
     EXPECT_NE(statsDigest(&a), statsDigest(&b));
+}
+
+TEST(StatsDigest, ChangesWhenAHistogramRecordChanges)
+{
+    const auto withWers = [](std::initializer_list<double> wers,
+                             double cell_ns) {
+        auto reg = std::make_unique<Registry>();
+        reg->counter("campaign.measurements", "n").inc(3);
+        reg->histogram("campaign.cell_ns").record(cell_ns);
+        for (const double wer : wers)
+            reg->histogram("campaign.wer").record(wer);
+        return reg;
+    };
+    const std::uint64_t digest =
+        statsDigest(withWers({2.0e-6, 3.5e-5, 4.0e-7}, 1.0e6).get());
+    // Wall-clock histograms do not count...
+    EXPECT_EQ(statsDigest(withWers({2.0e-6, 3.5e-5, 4.0e-7}, 7.0e6).get()),
+              digest);
+    // ...but one campaign.wer record more, or one scaled by 1.01, does.
+    EXPECT_NE(
+        statsDigest(withWers({2.0e-6, 3.5e-5, 4.0e-7, 1.0e-6}, 1.0e6).get()),
+        digest);
+    EXPECT_NE(statsDigest(withWers({2.0e-6, 3.5e-5, 4.04e-7}, 1.0e6).get()),
+              digest);
 }
 
 TEST(Manifest, JsonHasRequiredFieldsAndParses)

@@ -60,28 +60,6 @@ TEST(OpenMetricsText, RendersCounterGaugeFormula)
     EXPECT_EQ(text.find("# EOF"), text.rfind("# EOF"));
 }
 
-TEST(OpenMetricsText, DistributionBucketsAreCumulative)
-{
-    Registry reg;
-    Distribution &d =
-        reg.distribution("wer.log10", 0.0, 4.0, 4, "log10 WER");
-    d.record(-1.0); // underflow
-    d.record(0.5);  // bucket 0
-    d.record(1.5);  // bucket 1
-    d.record(1.6);  // bucket 1
-    d.record(9.0);  // overflow
-
-    const std::string text = openMetricsText(&reg);
-    EXPECT_TRUE(contains(text, "# TYPE wer_log10 histogram\n"));
-    // Underflow folds into every bucket; overflow only into +Inf.
-    EXPECT_TRUE(contains(text, "wer_log10_bucket{le=\"1\"} 2\n"));
-    EXPECT_TRUE(contains(text, "wer_log10_bucket{le=\"2\"} 4\n"));
-    EXPECT_TRUE(contains(text, "wer_log10_bucket{le=\"3\"} 4\n"));
-    EXPECT_TRUE(contains(text, "wer_log10_bucket{le=\"4\"} 4\n"));
-    EXPECT_TRUE(contains(text, "wer_log10_bucket{le=\"+Inf\"} 5\n"));
-    EXPECT_TRUE(contains(text, "wer_log10_count 5\n"));
-}
-
 TEST(OpenMetricsText, HistogramCountMatchesInfBucket)
 {
     Registry reg;

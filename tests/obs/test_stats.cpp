@@ -91,37 +91,6 @@ TEST(Registry, NamesAreSortedHierarchically)
     EXPECT_EQ(names[2], "b.z");
 }
 
-TEST(Distribution, BucketsValuesLinearly)
-{
-    Registry reg;
-    // [0, 10) in 5 bins of width 2.
-    Distribution &d = reg.distribution("d.lat", 0.0, 10.0, 5);
-    d.record(-1.0); // underflow
-    d.record(0.0);  // bucket 0
-    d.record(1.99); // bucket 0
-    d.record(2.0);  // bucket 1
-    d.record(9.99); // bucket 4
-    d.record(10.0); // overflow (half-open upper bound)
-    d.record(42.0); // overflow
-
-    EXPECT_EQ(d.count(), 7u);
-    EXPECT_EQ(d.underflow(), 1u);
-    EXPECT_EQ(d.overflow(), 2u);
-    EXPECT_EQ(d.bucket(0), 2u);
-    EXPECT_EQ(d.bucket(1), 1u);
-    EXPECT_EQ(d.bucket(2), 0u);
-    EXPECT_EQ(d.bucket(3), 0u);
-    EXPECT_EQ(d.bucket(4), 1u);
-    EXPECT_DOUBLE_EQ(d.minSeen(), -1.0);
-    EXPECT_DOUBLE_EQ(d.maxSeen(), 42.0);
-    EXPECT_NEAR(d.mean(), (-1.0 + 0.0 + 1.99 + 2.0 + 9.99 + 10.0 + 42.0) / 7.0,
-                1e-12);
-
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.bucket(0), 0u);
-}
-
 TEST(Formula, DerivesFromOtherStats)
 {
     Registry reg;
@@ -146,11 +115,11 @@ TEST(Registry, ValueReadsEveryKind)
     Registry reg;
     reg.counter("v.c") += 7;
     reg.gauge("v.g").set(1.5);
-    reg.distribution("v.d", 0.0, 10.0, 5).record(4.0);
+    reg.histogram("v.h").record(4.0);
     reg.formula("v.f", [] { return 9.0; });
     EXPECT_DOUBLE_EQ(reg.value("v.c"), 7.0);
     EXPECT_DOUBLE_EQ(reg.value("v.g"), 1.5);
-    EXPECT_DOUBLE_EQ(reg.value("v.d"), 4.0); // mean
+    EXPECT_DOUBLE_EQ(reg.value("v.h"), 4.0); // mean
     EXPECT_DOUBLE_EQ(reg.value("v.f"), 9.0);
 }
 
@@ -160,11 +129,12 @@ TEST(Registry, ResetAllZeroesEverythingButFormulas)
     Counter &c = reg.counter("r.c");
     c += 5;
     reg.gauge("r.g").set(3.0);
-    reg.distribution("r.d", 0.0, 1.0, 2).record(0.5);
+    reg.histogram("r.h").record(0.5);
     reg.formula("r.f", [&] { return static_cast<double>(c.value()); });
     reg.resetAll();
     EXPECT_DOUBLE_EQ(reg.value("r.c"), 0.0);
     EXPECT_DOUBLE_EQ(reg.value("r.g"), 0.0);
+    EXPECT_EQ(reg.histogram("r.h").count(), 0u);
     EXPECT_DOUBLE_EQ(reg.value("r.f"), 0.0); // re-derives from the counter
 }
 
@@ -172,7 +142,7 @@ TEST(Registry, TextDumpListsStatsWithDescriptions)
 {
     Registry reg;
     reg.counter("t.events", "things that happened") += 3;
-    reg.distribution("t.sizes", 0.0, 4.0, 2, "request sizes").record(1.0);
+    reg.histogram("t.sizes", "request sizes").record(1.0);
 
     std::FILE *tmp = std::tmpfile();
     ASSERT_NE(tmp, nullptr);
@@ -188,7 +158,7 @@ TEST(Registry, TextDumpListsStatsWithDescriptions)
     EXPECT_NE(text.find("things that happened"), std::string::npos);
     EXPECT_NE(text.find("t.sizes.count"), std::string::npos);
     EXPECT_NE(text.find("t.sizes.mean"), std::string::npos);
-    EXPECT_NE(text.find("t.sizes.bucket.0"), std::string::npos);
+    EXPECT_NE(text.find("t.sizes.p50"), std::string::npos);
 }
 
 TEST(Registry, JsonDumpIsWellFormedAndComplete)
@@ -196,14 +166,14 @@ TEST(Registry, JsonDumpIsWellFormedAndComplete)
     Registry reg;
     reg.counter("j.c") += 2;
     reg.gauge("j.g").set(0.5);
-    reg.distribution("j.d", 0.0, 2.0, 2).record(1.5);
+    reg.histogram("j.h").record(1.5);
     const std::string json = reg.toJson();
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
     EXPECT_NE(json.find("\"j.c\":2"), std::string::npos);
     EXPECT_NE(json.find("\"j.g\":0.5"), std::string::npos);
-    EXPECT_NE(json.find("\"j.d\""), std::string::npos);
-    EXPECT_NE(json.find("\"buckets\":[0,1]"), std::string::npos);
+    EXPECT_NE(json.find("\"j.h\":{\"kind\":\"histogram\",\"count\":1"),
+              std::string::npos);
 }
 
 TEST(Registry, WriteFilePicksFormatFromSuffix)

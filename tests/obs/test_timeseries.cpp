@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests of the telemetry sample rings: ring eviction order,
- * tick-keyed windowed aggregates (rate, EWMA, min/max) and the
+ * tick-keyed windowed aggregates (rate, min/max) and the
  * find-or-create store.
  */
 
@@ -23,7 +23,6 @@ TEST(TimeSeries, KeepsInsertionOrderBelowCapacity)
     EXPECT_DOUBLE_EQ(ts.at(0).value, 10.0);
     EXPECT_DOUBLE_EQ(ts.at(2).value, 12.0);
     EXPECT_DOUBLE_EQ(ts.latest().value, 12.0);
-    EXPECT_EQ(ts.totalPushed(), 3u);
 }
 
 TEST(TimeSeries, EvictsOldestAtCapacity)
@@ -33,7 +32,6 @@ TEST(TimeSeries, EvictsOldestAtCapacity)
         ts.push(t, static_cast<double>(t) * 10.0);
     ASSERT_EQ(ts.size(), 3u);
     EXPECT_EQ(ts.capacity(), 3u);
-    EXPECT_EQ(ts.totalPushed(), 7u);
     // The three newest survive, oldest first.
     EXPECT_EQ(ts.at(0).tick, 4u);
     EXPECT_EQ(ts.at(1).tick, 5u);
@@ -70,7 +68,6 @@ TEST(TimeSeries, WindowAggregatesOnEmptySeries)
     EXPECT_DOUBLE_EQ(ts.windowMin(3), 0.0);
     EXPECT_DOUBLE_EQ(ts.windowMax(3), 0.0);
     EXPECT_DOUBLE_EQ(ts.ratePerSecond(3, 0.1), 0.0);
-    EXPECT_DOUBLE_EQ(ts.ewma(0.5), 0.0);
 }
 
 TEST(TimeSeries, RateIsDeltaOverTickSpan)
@@ -102,18 +99,6 @@ TEST(TimeSeries, RateWithZeroTickSpanIsZero)
     ts.push(3, 1.0);
     ts.push(3, 2.0); // same tick twice
     EXPECT_DOUBLE_EQ(ts.ratePerSecond(4, 0.1), 0.0);
-}
-
-TEST(TimeSeries, EwmaFoldsOldestToNewest)
-{
-    TimeSeries ts(4);
-    ts.push(0, 10.0);
-    ts.push(1, 20.0);
-    // seeded with 10, then 0.5*20 + 0.5*10 = 15.
-    EXPECT_DOUBLE_EQ(ts.ewma(0.5), 15.0);
-    // alpha=1 tracks the latest sample exactly; alpha=0 the oldest.
-    EXPECT_DOUBLE_EQ(ts.ewma(1.0), 20.0);
-    EXPECT_DOUBLE_EQ(ts.ewma(0.0), 10.0);
 }
 
 TEST(TimeSeriesStore, FindOrCreateSharesCapacity)
