@@ -80,11 +80,6 @@ main(int argc, char **argv)
     std::printf("%-8s %-12s %12s %16s\n", "server", "device",
                 "relaxed WER", "nominal P(leak)");
 
-    auto &live = obs::Registry::instance();
-    live.gauge("live.fleet.servers_total",
-               "servers in this fleet study (live)")
-        .set(static_cast<double>(servers));
-
     for (int server = 0; server < servers; ++server) {
         sys::Platform::Params pp;
         pp.devices.masterSeed = 0xf1ee7 + server;
@@ -127,14 +122,6 @@ main(int argc, char **argv)
                                 .c_str(),
                             wer, risk);
         }
-        // Per-server progress for the sampler (digest-excluded
-        // live.* prefix, so fleet ranking stays provenance-clean).
-        live.counter("live.fleet.servers_done",
-                     "servers characterized so far (live)")
-            .inc();
-        live.gauge("live.fleet.devices_ranked",
-                   "devices with measurable relaxed WER so far (live)")
-            .set(static_cast<double>(relaxed_wer.size()));
     }
 
     bench::rule();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 
 #include "common/logging.hh"
@@ -208,22 +207,6 @@ CharacterizationCampaign::measureOn(sys::Platform &platform,
         .record(std::chrono::duration<double, std::nano>(
                     std::chrono::steady_clock::now() - cell_start)
                     .count());
-    // Live progress for the telemetry sampler: immediate (the deferred
-    // campaign.* twins above only land after the whole batch), counted
-    // per attempt, and under the digest-excluded live.* prefix so
-    // faulted retries cannot perturb provenance digests.
-    auto &live = obs::Registry::instance();
-    live.counter("live.campaign.cells_done",
-                 "measurement attempts finished (live, incl. retries)")
-        .inc();
-    if (m.run.crashed)
-        live.counter("live.campaign.crashes",
-                     "measurement attempts ended by a UE (live)")
-            .inc();
-    if (wer > 0.0)
-        live.gauge("live.campaign.wer_log10",
-                   "log10 WER of the latest measurement (live)")
-            .set(std::log10(wer));
     return m;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <iterator>
-#include <sstream>
 #include <string_view>
 
 #include "common/logging.hh"
@@ -13,7 +12,6 @@
 #include "obs/events.hh"
 #include "obs/manifest.hh"
 #include "obs/perf_counters.hh"
-#include "obs/sampler.hh"
 #include "obs/span.hh"
 #include "obs/stats.hh"
 #include "obs/timer.hh"
@@ -29,9 +27,8 @@ namespace {
 /** Every key the session reads: what a "--" argument may name. */
 constexpr std::string_view kSessionKeys[] = {
     "alloc_track", "checkpoint", "deadline", "epochs", "fail_fast",
-    "faults", "footprint_mib", "manifest_out", "metrics_out",
-    "metrics_port", "perf_counters", "progress", "quarantine_out",
-    "retries", "sample_interval", "slo", "stats_out", "task_timeout",
+    "faults", "footprint_mib", "manifest_out", "perf_counters",
+    "progress", "quarantine_out", "retries", "stats_out", "task_timeout",
     "thermal_loop", "threads", "trace_events", "trace_out", "work_scale",
 };
 
@@ -140,55 +137,12 @@ RunSession::RunSession(int argc, const char *const *argv)
     wd.deadlineSeconds = config_.getDoubleIn("deadline", 0.0, 0.0, 86400.0);
     if (wd.taskTimeoutSeconds > 0.0 || wd.deadlineSeconds > 0.0)
         par::Pool::global().enableWatchdog(wd);
-
-    startSampler();
-}
-
-/** Any sampler knob switches the background sampler on. */
-void
-RunSession::startSampler()
-{
-    const std::string metrics_out = config_.getString("metrics_out", "");
-    const std::string interval = config_.getString("sample_interval", "");
-    const std::string slo_specs = config_.getString("slo", "");
-    const int metrics_port =
-        static_cast<int>(config_.getIntIn("metrics_port", -1, -1, 65535));
-    if (metrics_out.empty() && metrics_port < 0 && slo_specs.empty() &&
-        interval.empty())
-        return;
-
-    obs::SamplerOptions so;
-    if (!interval.empty()) {
-        const auto seconds = obs::parseDurationSeconds(interval);
-        if (!seconds || *seconds <= 0.0)
-            DFAULT_FATAL("malformed sample_interval '", interval,
-                         "' (want e.g. 100ms, 2s)");
-        so.intervalSeconds = *seconds;
-    }
-    so.metricsOutPath = metrics_out;
-    so.metricsPort = metrics_port;
-    std::istringstream specs(slo_specs);
-    for (std::string spec; std::getline(specs, spec, ',');) {
-        if (spec.empty())
-            continue;
-        std::string error;
-        const auto target = obs::parseSloTarget(spec, &error);
-        if (!target)
-            DFAULT_FATAL("bad slo spec '", spec, "': ", error);
-        so.sloTargets.push_back(*target);
-    }
-    obs::Sampler::instance().start(so);
-    const auto &server = obs::Sampler::instance().server();
-    if (server.running())
-        DFAULT_INFORM("serving OpenMetrics on http://127.0.0.1:",
-                      server.port(), "/metrics");
 }
 
 RunSession::~RunSession()
 {
     const std::string stats_out = config_.getString("stats_out", "");
     const std::string trace_events = config_.getString("trace_events", "");
-    const std::string metrics_out = config_.getString("metrics_out", "");
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start_)
                             .count();
@@ -247,15 +201,6 @@ RunSession::~RunSession()
                       quarantine_path);
     }
 
-    // Stop the sampler before the stats/manifest epilogue: stop() runs
-    // the final flush tick (last metrics snapshot, final SLO verdicts)
-    // and emits closing slo_breach events while the event sink is open.
-    auto &sampler = obs::Sampler::instance();
-    const bool sampled = sampler.running() || sampler.ticks() > 0;
-    sampler.stop();
-    if (sampled && !metrics_out.empty())
-        DFAULT_INFORM("OpenMetrics snapshot written to ", metrics_out);
-
     if (!stats_out.empty()) {
         obs::Registry::instance().writeFile(stats_out);
         DFAULT_INFORM("stats written to ", stats_out);
@@ -281,11 +226,6 @@ RunSession::~RunSession()
             info.interruptReason = par::rootCancelToken().reason();
         }
         info.resumedFromTick = resumedFromTick_;
-        if (sampled) {
-            info.metricsPath = metrics_out;
-            info.samplerTicks = sampler.ticks();
-            info.sloSummaryJson = sampler.sloSummaryJson();
-        }
         if (!obs::writeManifestFile(manifest_path, info))
             DFAULT_FATAL("cannot write manifest to '", manifest_path, "'");
         DFAULT_INFORM("run manifest written to ", manifest_path);

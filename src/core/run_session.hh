@@ -25,13 +25,6 @@
  *   perf_counters=true   per-phase hardware-counter attribution plus a
  *                        perf table at exit (zeros without a PMU)
  *   alloc_track=true     per-phase heap allocation attribution
- *   metrics_out=<path>   background sampler atomically rewrites this
- *                        OpenMetrics snapshot every tick
- *   metrics_port=<port>  serve GET /metrics on 127.0.0.1:<port>
- *                        (0 picks a free port)
- *   sample_interval=<d>  sampler cadence, e.g. 100ms (the default)
- *   slo=<spec>[,...]     SLO targets, e.g. slo=campaign.cell_ns:p99<5ms;
- *                        verdicts land in the manifest "slo" section
  *
  * Robustness (see docs/robustness.md):
  *   faults=<spec>        arm fault-injection points (fi/injector.hh)
@@ -98,8 +91,6 @@ class RunSession
     void setResumedFromTick(std::int64_t tick) { resumedFromTick_ = tick; }
 
   private:
-    void startSampler();
-
     Config config_;
     std::vector<std::string> positional_;
     std::string tool_;

@@ -20,8 +20,6 @@ opKindTag(StatOp::Kind kind)
         return "c";
       case StatOp::Kind::GaugeAdd:
         return "ga";
-      case StatOp::Kind::GaugeSet:
-        return "gs";
       case StatOp::Kind::HistRecord:
         return "h";
     }
@@ -35,8 +33,6 @@ opKindFromTag(const std::string &tag, StatOp::Kind &out)
         out = StatOp::Kind::CounterInc;
     else if (tag == "ga")
         out = StatOp::Kind::GaugeAdd;
-    else if (tag == "gs")
-        out = StatOp::Kind::GaugeSet;
     else if (tag == "h")
         out = StatOp::Kind::HistRecord;
     else
@@ -109,17 +105,6 @@ publishGaugeAdd(const std::string &name, const std::string &description,
 }
 
 void
-publishGaugeSet(const std::string &name, const std::string &description,
-                double value)
-{
-    if (t_active != nullptr) {
-        deferralCapture({StatOp::Kind::GaugeSet, name, description, value});
-        return;
-    }
-    Registry::instance().gauge(name, description).set(value);
-}
-
-void
 publishHistogram(const std::string &name, const std::string &description,
                  double sample)
 {
@@ -143,9 +128,6 @@ applyStatOps(const std::vector<StatOp> &ops, Registry *registry)
             break;
           case StatOp::Kind::GaugeAdd:
             reg.gauge(op.name, op.description).add(op.value);
-            break;
-          case StatOp::Kind::GaugeSet:
-            reg.gauge(op.name, op.description).set(op.value);
             break;
           case StatOp::Kind::HistRecord:
             reg.histogram(op.name, op.description).record(op.value);

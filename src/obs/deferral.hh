@@ -41,14 +41,13 @@ struct StatOp
     {
         CounterInc,
         GaugeAdd,
-        GaugeSet,
         HistRecord,
     };
 
     Kind kind = Kind::CounterInc;
     std::string name;
     std::string description;
-    double value = 0.0; ///< increment / delta / new value / sample
+    double value = 0.0; ///< increment / delta / sample
 };
 
 /**
@@ -84,10 +83,6 @@ void publishCounter(const std::string &name, const std::string &description,
 void publishGaugeAdd(const std::string &name, const std::string &description,
                      double delta);
 
-/** Set a gauge, or buffer the write under a deferral. */
-void publishGaugeSet(const std::string &name, const std::string &description,
-                     double value);
-
 /**
  * Record into a log-bucketed histogram (obs/histogram.hh), or buffer
  * the sample under a deferral.
@@ -105,8 +100,8 @@ std::string statOpsJson(const std::vector<StatOp> &ops);
 /**
  * Parse a statOpsJson() array back. Returns false (and sets @p error)
  * on malformed input, including a kind tag this build does not know
- * (the retired "d" linear-distribution record among them); @p out is
- * untouched in that case.
+ * (the retired "d" linear-distribution and "gs" gauge-set records
+ * among them); @p out is untouched in that case.
  */
 bool statOpsFromJson(const JsonValue &array, std::vector<StatOp> &out,
                      std::string *error = nullptr);

@@ -43,27 +43,17 @@ digestExcludes(const std::string &name)
     // perf_event_open is unavailable); anything measured in seconds is
     // host-speed-dependent wherever it lives; last_* gauges are
     // last-writer-wins snapshots, so their final value depends on
-    // which task published last. ts.* / slo.* are the telemetry
-    // sampler's own bookkeeping and live.* are the immediate
-    // (non-deferred) campaign progress stats — all three exist only
-    // for streaming consumers and depend on sampling cadence, so the
-    // digest must not see them (the sampler-on/off digest-stability
-    // tests enforce this). serve.live.* (queue depth, breaker-state
-    // gauges) is the prediction service's moment-in-time state — the
-    // deterministic serve.* counters next to it stay digested.
-    // journal.* records write-ahead-journal activity (segments
-    // written, restores, quarantines), which differs between a
-    // killed-and-resumed run and a clean one just like fi.* does.
+    // which task published last. journal.* records write-ahead-journal
+    // activity (segments written, restores, quarantines), which
+    // differs between a killed-and-resumed run and a clean one just
+    // like fi.* does.
     // A path segment ending in _ns holds wall-clock nanoseconds
     // (campaign.cell_ns, serve.latency_ns.*) — the unit rule that
     // "seconds" states for the other scale. Nothing is excluded by
     // kind: a deterministic histogram (campaign.wer) is digested.
     return name.starts_with("time.") || name.starts_with("par.") ||
            name.starts_with("fi.") || name.starts_with("perf.") ||
-           name.starts_with("alloc.") || name.starts_with("ts.") ||
-           name.starts_with("slo.") || name.starts_with("live.") ||
-           name.starts_with("serve.live.") ||
-           name.starts_with("journal.") ||
+           name.starts_with("alloc.") || name.starts_with("journal.") ||
            name.find("seconds") != std::string::npos ||
            name.ends_with("_ns") ||
            name.find("_ns.") != std::string::npos ||
@@ -167,14 +157,6 @@ manifestJson(const ManifestInfo &info, const Registry *registry)
         w.field("stats_out", info.statsPath);
     if (!info.tracePath.empty())
         w.field("trace_events", info.tracePath);
-    if (!info.metricsPath.empty()) {
-        JsonWriter telemetry;
-        telemetry.field("metrics_out", info.metricsPath);
-        telemetry.field("sampler_ticks", info.samplerTicks);
-        w.fieldRaw("telemetry", telemetry.str());
-    }
-    if (!info.sloSummaryJson.empty())
-        w.fieldRaw("slo", info.sloSummaryJson);
 
     JsonWriter stats;
     stats.field("total", static_cast<std::uint64_t>(reg.size()));

@@ -52,12 +52,6 @@ struct ManifestInfo
      *  journal (serve/journal.hh); -1 (the default) = not a resumed
      *  run, and the field is omitted from the manifest. */
     std::int64_t resumedFromTick = -1;
-    /** Telemetry sampler summary ("" when the sampler never ran). */
-    std::string metricsPath;     ///< final OpenMetrics snapshot path
-    std::uint64_t samplerTicks = 0;
-    /** SLO verdict array from SloTracker::summaryJson() ("" = no
-     *  targets configured; omitted from the manifest). */
-    std::string sloSummaryJson;
 };
 
 /**

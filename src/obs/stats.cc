@@ -184,8 +184,6 @@ Registry::sample() const
     for (const auto &[name, e] : entries_) {
         StatSample s;
         s.name = name;
-        s.kind = e.kind;
-        s.description = e.description;
         switch (e.kind) {
           case StatKind::Counter:
             s.value = static_cast<double>(e.counter->value());

@@ -114,16 +114,13 @@ class Gauge
 };
 
 /**
- * One stat as seen by a telemetry consumer (the sampler, the
- * OpenMetrics writer, the manifest digest): name, kind, description
- * and a scalar view, plus the full snapshot for histograms. Produced
- * by Registry::sample().
+ * One stat as the manifest digest reads it: name and a scalar view,
+ * plus the full snapshot for histograms. Produced by
+ * Registry::sample().
  */
 struct StatSample
 {
     std::string name;
-    StatKind kind = StatKind::Counter;
-    std::string description;
     /** Counter/gauge/formula value; histogram mean. */
     double value = 0.0;
     std::optional<HistogramSnapshot> hist;

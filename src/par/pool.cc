@@ -69,43 +69,6 @@ const int g_forkHandlers = pthread_atfork(
         g_globalMutex.unlock();
     });
 
-/**
- * Live telemetry mirrors for the sampler: process-wide tallies of
- * queued-but-unpopped and currently executing tasks, summed over every
- * pool in the process. File-scope atomics — not Pool members — so the
- * par.queue_depth / par.inflight_tasks formulas capture objects whose
- * lifetime outlasts any pool (Registry::formula keeps the first
- * callback forever; capturing a Pool would dangle after
- * setGlobalThreads rebuilds it). par.* is digest-excluded, so these
- * instantaneous values never perturb provenance.
- */
-std::atomic<std::int64_t> g_queueDepth{0};
-std::atomic<std::int64_t> g_inFlight{0};
-
-void
-registerLivePoolStats()
-{
-    static const bool once = [] {
-        auto &reg = obs::Registry::instance();
-        reg.formula(
-            "par.queue_depth",
-            [] {
-                return static_cast<double>(
-                    g_queueDepth.load(std::memory_order_relaxed));
-            },
-            "tasks queued and not yet popped, all pools (live)");
-        reg.formula(
-            "par.inflight_tasks",
-            [] {
-                return static_cast<double>(
-                    g_inFlight.load(std::memory_order_relaxed));
-            },
-            "tasks currently executing, all pools (live)");
-        return true;
-    }();
-    (void)once;
-}
-
 double
 secondsSince(std::chrono::steady_clock::time_point start)
 {
@@ -327,7 +290,6 @@ Pool::Pool(int threads) : threads_(threads)
 {
     if (threads < 1 || threads > 1024)
         DFAULT_FATAL("pool size must be in [1, 1024], got ", threads);
-    registerLivePoolStats();
     slots_.reserve(threads_);
     for (int s = 0; s < threads_; ++s)
         slots_.push_back(std::make_unique<Slot>());
@@ -474,7 +436,6 @@ Pool::parallelForResilient(std::size_t n,
         {
             std::lock_guard<std::mutex> lock(slot.mutex);
             pending_.fetch_add(1, std::memory_order_relaxed);
-            g_queueDepth.fetch_add(1, std::memory_order_relaxed);
             slot.queue.push_back(task);
         }
         ++count;
@@ -550,7 +511,6 @@ Pool::popOwn(int slot, Task &task)
     task = own.queue.back(); // LIFO: cache-warm end of the range
     own.queue.pop_back();
     pending_.fetch_sub(1, std::memory_order_relaxed);
-    g_queueDepth.fetch_sub(1, std::memory_order_relaxed);
     return true;
 }
 
@@ -566,7 +526,6 @@ Pool::stealAny(int thief, Task &task)
         task = other.queue.front(); // FIFO: take the coldest chunk
         other.queue.pop_front();
         pending_.fetch_sub(1, std::memory_order_relaxed);
-        g_queueDepth.fetch_sub(1, std::memory_order_relaxed);
         obs::Registry::instance()
             .counter("par.steals", "tasks stolen from another slot")
             .inc();
@@ -580,7 +539,6 @@ Pool::runTask(const Task &task)
 {
     Batch &batch = *task.batch;
     const auto start = std::chrono::steady_clock::now();
-    g_inFlight.fetch_add(1, std::memory_order_relaxed);
 
     // Workers inherit the submitter's phase stack so their nested
     // timers accumulate under the same dotted paths as a serial run;
@@ -613,7 +571,6 @@ Pool::runTask(const Task &task)
     }
     span_parent.reset();
     adopted.reset();
-    g_inFlight.fetch_sub(1, std::memory_order_relaxed);
 
     const double task_ns = secondsSince(start) * 1e9;
     batch.taskNanos.fetch_add(static_cast<std::uint64_t>(task_ns),

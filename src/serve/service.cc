@@ -91,8 +91,6 @@ PredictionService::PredictionService(const ml::Regressor &primary,
       registry_(params.registry != nullptr ? *params.registry
                                            : obs::Registry::instance()),
       queues_(kPriorityCount), breakers_(params_.shards),
-      // Counter names omit _total (the OpenMetrics exporter appends
-      // it): these export as serve_submitted_total, serve_shed_total...
       submitted_(addCounter("serve.submitted",
                             "prediction requests submitted")),
       served_(addCounter("serve.served",
@@ -109,10 +107,7 @@ PredictionService::PredictionService(const ml::Regressor &primary,
       breakerClosed_(addCounter(
           "serve.breaker.closed",
           "circuit breaker recoveries (half-open -> closed)")),
-      ticksTotal_(addCounter("serve.ticks", "service ticks run")),
-      queueDepthGauge_(registry_.gauge(
-          "serve.live.queue_depth",
-          "queued requests right now (live, digest-excluded)"))
+      ticksTotal_(addCounter("serve.ticks", "service ticks run"))
 {
     for (int c = 0; c < kPriorityCount; ++c) {
         const std::string name(priorityName(static_cast<Priority>(c)));
@@ -124,11 +119,6 @@ PredictionService::PredictionService(const ml::Regressor &primary,
             "primary predict latency for " + name +
                 " requests, nanoseconds");
     }
-    breakerGauges_.reserve(breakers_.size());
-    for (std::size_t s = 0; s < breakers_.size(); ++s)
-        breakerGauges_.push_back(&registry_.gauge(
-            "serve.live.breaker_state.shard" + std::to_string(s),
-            "breaker state: 0 closed, 1 open, 2 half-open (live)"));
     if (!params_.journalDir.empty())
         restoreFromJournal();
 }
@@ -254,9 +244,6 @@ PredictionService::restoreFromJournal()
     journal_->durable = counterValues();
     journal_->flushedResponses = responses_.size();
     resumedFromTick_ = static_cast<std::int64_t>(restored.tick);
-    for (std::size_t s = 0; s < breakers_.size(); ++s)
-        breakerGauges_[s]->set(static_cast<double>(breakers_[s].state));
-    updateLiveGaugesLocked();
     DFAULT_INFORM("serve: restored from journal '", params_.journalDir,
                 "' to tick ", restored.tick, " (",
                 responses_.size(), " response(s), ",
@@ -351,12 +338,6 @@ PredictionService::queueDepthLocked() const
 }
 
 void
-PredictionService::updateLiveGaugesLocked()
-{
-    queueDepthGauge_.set(static_cast<double>(queueDepthLocked()));
-}
-
-void
 PredictionService::shedLocked(Pending &&req, const std::string &reason)
 {
     ++shed_;
@@ -442,7 +423,6 @@ PredictionService::transitionLocked(int shard, BreakerState to)
         ++breakerClosed_;
         break;
     }
-    breakerGauges_[shard]->set(static_cast<double>(to));
     auto &sink = obs::EventSink::instance();
     if (sink.enabled()) {
         obs::JsonWriter w;
@@ -537,13 +517,11 @@ PredictionService::submit(Request request)
         shedLocked(std::move(p), reason.empty()
                                      ? std::string("cancelled")
                                      : "cancelled: " + reason);
-        updateLiveGaugesLocked();
         return id;
     }
     if (inj.armed() && inj.shouldFire("serve.reject", id)) {
         shedLocked(std::move(p),
                    "injected admission reject (serve.reject)");
-        updateLiveGaugesLocked();
         return id;
     }
     if (queueDepthLocked() >= params_.queueCapacity) {
@@ -560,7 +538,6 @@ PredictionService::submit(Request request)
             }
         if (victim < 0) {
             shedLocked(std::move(p), "queue full");
-            updateLiveGaugesLocked();
             return id;
         }
         Pending evicted = std::move(queues_[victim].back());
@@ -579,7 +556,6 @@ PredictionService::submit(Request request)
         journal_->admitted.push_back(std::move(jr));
     }
     queues_[static_cast<int>(p.priority)].push_back(std::move(p));
-    updateLiveGaugesLocked();
     return id;
 }
 
@@ -609,7 +585,6 @@ PredictionService::tick()
                     q.pop_front();
                     ++resolved;
                 }
-            updateLiveGaugesLocked();
             journalCommitLocked();
             return resolved;
         }
@@ -668,7 +643,6 @@ PredictionService::tick()
             }
             q = std::move(keep);
         }
-        updateLiveGaugesLocked();
     }
 
     // Execute the batch on the pool, outside the service lock, with
@@ -745,7 +719,6 @@ PredictionService::tick()
             }
             ++resolved;
         }
-        updateLiveGaugesLocked();
         // serve.kill models a SIGKILL landing after the in-memory
         // commit but before the tick reaches the journal: the tick is
         // lost and must be re-executed on resume, which is exactly

@@ -48,10 +48,10 @@
  * arrival order and thread count.
  *
  * Telemetry: deterministic counters live under serve.* and are part
- * of the manifest digest; cadence-dependent live state (queue depth,
- * breaker state gauges) lives under serve.live.* and is digest- and
- * stats_diff-excluded like ts./slo./live. (docs/serving.md). Breaker
- * transitions emit "serve_breaker" JSONL events with the tick number.
+ * of the manifest digest; per-priority latency histograms live under
+ * serve.latency_ns.* and are digest-excluded (docs/serving.md).
+ * Breaker transitions emit "serve_breaker" JSONL events with the tick
+ * number.
  */
 
 #ifndef DFAULT_SERVE_SERVICE_HH
@@ -83,7 +83,7 @@ struct JournalState;
 enum class Priority
 {
     Critical = 0, ///< mitigation-critical (page offline / refresh boost)
-    Health = 1,   ///< health checks and SLO probes
+    Health = 1,   ///< health checks and liveness probes
     Bulk = 2      ///< background fleet re-scoring
 };
 
@@ -314,7 +314,6 @@ class PredictionService
     void onPrimarySuccessLocked(int shard);
     void onPrimaryFailureLocked(int shard);
     void recordOutcomeLocked(Breaker &b, bool failure);
-    void updateLiveGaugesLocked();
     std::size_t queueDepthLocked() const;
     par::CancelToken effectiveToken() const;
     void journalCommitLocked();
@@ -363,9 +362,6 @@ class PredictionService
     obs::Counter &breakerHalfOpened_;
     obs::Counter &breakerClosed_;
     obs::Counter &ticksTotal_;
-    // Cadence-dependent live state (serve.live.*, digest-excluded).
-    obs::Gauge &queueDepthGauge_;
-    std::vector<obs::Gauge *> breakerGauges_;
     // Wall-clock latency per priority (histogram kind: never digested).
     obs::Histogram *latency_[kPriorityCount];
 };

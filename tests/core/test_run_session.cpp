@@ -97,18 +97,11 @@ struct RunSessionDeathTest : ::testing::Test
     }
 };
 
-TEST_F(RunSessionDeathTest, MalformedSloSpecIsFatal)
+TEST_F(RunSessionDeathTest, FootprintOutOfRangeIsFatal)
 {
-    EXPECT_EXIT(runSession({"footprint_mib=1", "slo=campaign.cell_ns"}),
+    EXPECT_EXIT(runSession({"footprint_mib=0"}),
                 testing::ExitedWithCode(1),
-                "bad slo spec 'campaign.cell_ns'");
-}
-
-TEST_F(RunSessionDeathTest, MetricsPortOutOfRangeIsFatal)
-{
-    EXPECT_EXIT(runSession({"footprint_mib=1", "metrics_port=70000"}),
-                testing::ExitedWithCode(1),
-                "metrics_port.*outside the allowed range");
+                "footprint_mib.*outside the allowed range");
 }
 
 TEST_F(RunSessionDeathTest, FlagNamingNoSessionKeyIsFatal)

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <utility>
 
 #include "core/checkpoint.hh"
 #include "fi/durable.hh"
@@ -182,17 +183,39 @@ cellWithRetiredDistributionOp(std::uint64_t digest)
     return text;
 }
 
+/** The cell with a gauge-set op, the retired "gs" kind. */
+std::string
+cellWithRetiredGaugeSetOp(std::uint64_t digest)
+{
+    CheckpointCell cell;
+    cell.cell = 0;
+    cell.measurement = someMeasurement();
+    cell.statOps.push_back({obs::StatOp::Kind::GaugeAdd, "campaign.level",
+                            "a gauge", 2.5});
+    std::string text = checkpointCellJson(cell, digest);
+    const std::size_t tag = text.find("\"k\":\"ga\"");
+    EXPECT_NE(tag, std::string::npos);
+    text.replace(tag, 8, "\"k\":\"gs\"");
+    return text;
+}
+
 TEST(CheckpointCellJson, RejectsRetiredDistributionOp)
 {
     // Rejected whole, never partly applied: the RecordDir path then
     // quarantines the file and the sweep re-measures the cell.
-    CheckpointCell out;
-    std::string error;
-    EXPECT_FALSE(checkpointCellFromJson(cellWithRetiredDistributionOp(7),
-                                        7, out, &error));
-    EXPECT_NE(error.find("unknown kind tag 'd'"), std::string::npos)
-        << error;
-    EXPECT_TRUE(out.statOps.empty());
+    const std::pair<std::string, std::string> retired[] = {
+        {cellWithRetiredDistributionOp(7), "d"},
+        {cellWithRetiredGaugeSetOp(7), "gs"},
+    };
+    for (const auto &[text, tag] : retired) {
+        CheckpointCell out;
+        std::string error;
+        EXPECT_FALSE(checkpointCellFromJson(text, 7, out, &error)) << tag;
+        EXPECT_NE(error.find("unknown kind tag '" + tag + "'"),
+                  std::string::npos)
+            << error;
+        EXPECT_TRUE(out.statOps.empty());
+    }
 }
 
 TEST(CheckpointCellJson, RejectsWrongDigestAndGarbage)

@@ -16,8 +16,6 @@
 
 #include "obs/events.hh"
 #include "obs/json.hh"
-#include "obs/sampler.hh"
-#include "obs/stats.hh"
 #include "par/pool.hh"
 
 namespace dfault::obs {
@@ -73,74 +71,6 @@ TEST(EventSinkMt, ConcurrentEmittersNeverInterleaveLines)
     }
     EXPECT_EQ(lines, kEmitters * kPerEmitter);
     EXPECT_EQ(seqs.size(), lines);
-    std::remove(path.c_str());
-}
-
-TEST(EventSinkMt, SamplerBreachEventsInterleaveCleanlyWithWorkers)
-{
-    constexpr std::size_t kEmitters = 32;
-    constexpr int kPerEmitter = 40;
-
-    const std::string path =
-        testing::TempDir() + "dfault_event_sink_sampler.jsonl";
-    par::Pool::setGlobalThreads(8);
-    auto &sink = EventSink::instance();
-    sink.open(path);
-
-    // A sampler ticking every millisecond against a permanently
-    // breaching SLO emits slo_breach records from its own thread
-    // while the pool workers emit theirs.
-    Registry reg;
-    reg.gauge("mt.pressure", "always breaching").set(1e9);
-    Sampler sampler;
-    SamplerOptions so;
-    so.intervalSeconds = 0.001;
-    so.registry = &reg;
-    so.sloTargets.push_back(*parseSloTarget("mt.pressure:value<1"));
-    ASSERT_TRUE(sampler.start(so));
-
-    par::Pool::global().parallelFor(kEmitters, [&](std::size_t i) {
-        for (int k = 0; k < kPerEmitter; ++k) {
-            JsonWriter w;
-            w.field("emitter", static_cast<std::uint64_t>(i));
-            w.field("k", k);
-            w.field("payload", std::string(120, 'y'));
-            sink.emit("mt_test", w);
-        }
-    });
-
-    sampler.stop();
-    sink.close();
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.is_open());
-    std::string line;
-    std::size_t lines = 0;
-    std::size_t worker_lines = 0;
-    std::size_t breach_lines = 0;
-    while (std::getline(in, line)) {
-        ++lines;
-        std::string error;
-        const auto doc = jsonParse(line, &error);
-        ASSERT_TRUE(doc.has_value())
-            << "line " << lines << ": " << error << "\n" << line;
-        ASSERT_TRUE(doc->isObject());
-        const std::string &type = doc->find("type")->string;
-        if (type == "mt_test") {
-            ++worker_lines;
-        } else {
-            ASSERT_EQ(type, "slo_breach") << line;
-            EXPECT_EQ(doc->find("stat")->string, "mt.pressure");
-            ++breach_lines;
-        }
-        // seq is drawn under the sink lock: strictly file-ordered even
-        // with two producer populations.
-        EXPECT_EQ(doc->find("seq")->number,
-                  static_cast<double>(lines - 1));
-    }
-    EXPECT_EQ(worker_lines, kEmitters * kPerEmitter);
-    // stop() runs a final flush tick, so at least one breach landed.
-    EXPECT_GE(breach_lines, 1u);
     std::remove(path.c_str());
 }
 

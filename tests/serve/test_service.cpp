@@ -318,11 +318,9 @@ TEST_F(ServiceTest, FaultedRunIsBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(digests[0], digests[2]);
 }
 
-/** serve.live.* must stay out of the digest; serve.* must be in it. */
-TEST_F(ServiceTest, LiveStateIsDigestExcluded)
+/** The deterministic serve.* counters must be in the digest. */
+TEST_F(ServiceTest, CountersAreDigested)
 {
-    EXPECT_TRUE(obs::digestExcludes("serve.live.queue_depth"));
-    EXPECT_TRUE(obs::digestExcludes("serve.live.breaker_state.shard0"));
     EXPECT_FALSE(obs::digestExcludes("serve.submitted"));
     EXPECT_FALSE(obs::digestExcludes("serve.shed.bulk"));
     EXPECT_FALSE(obs::digestExcludes("serve.breaker.opened"));

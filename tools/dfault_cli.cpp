@@ -14,7 +14,7 @@
  *
  * Every subcommand accepts the run keys of core::RunSession
  * (footprint_mib, work_scale, epochs, threads, stats_out, trace_events,
- * faults, checkpoint, slo, ...; see core/run_session.hh), each also
+ * faults, checkpoint, retries, ...; see core/run_session.hh), each also
  * spelled as a flag: --stats-out=<path> is stats_out=<path> and
  * --progress is progress=true. The subcommands add their own keys:
  *   trefp_s=2.283 vdd_v=1.428 temp_c=50   operating point
@@ -252,8 +252,7 @@ usage()
         "          thermal_loop faults checkpoint retries fail_fast\n"
         "          task_timeout deadline stats_out manifest_out\n"
         "          quarantine_out trace_out trace_events progress\n"
-        "          perf_counters alloc_track metrics_out metrics_port\n"
-        "          sample_interval slo\n"
+        "          perf_counters alloc_track\n"
         "command keys: trefp_s temp_c vdd_v input_set model\n"
         "each run key is also a flag: --stats-out=<path>, --progress\n");
 }
