@@ -54,7 +54,7 @@ main(int argc, char **argv)
         std::printf("  %-14s %10s %12s %12s %12s %12s\n", "workload",
                     "err rows", "missed", "miss%", "flagged-ok",
                     "false-alarm%");
-        for (const workloads::WorkloadConfig config :
+        for (const workloads::WorkloadConfig &config :
              {workloads::WorkloadConfig{"backprop", 8,
                                         "backprop(par)"},
               workloads::WorkloadConfig{"srad", 8, "srad(par)"},

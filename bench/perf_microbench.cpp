@@ -7,7 +7,7 @@
  * ML models' prediction latency (the paper's "predict DRAM errors
  * within 300 ms" claim), and one full error-integration run.
  *
- * Each kernel benchmark carries extra custom counters alongside
+ * Each kernel benchmark carries two custom counters alongside
  * google-benchmark's mean time:
  *
  *   p50_ns / p99_ns   per-operation latency quantiles, tail-sampled
@@ -15,16 +15,9 @@
  *                     sampled in batches (the quantile is then of the
  *                     per-batch mean) so the clock reads don't distort
  *                     the measured loop.
- *   ipc, cache_miss_per_kinstr, branch_miss_per_kinstr
- *                     hardware-counter rates over the benchmark loop
- *                     via perf_event_open; omitted entirely on hosts
- *                     where the syscall is unavailable (VMs,
- *                     perf_event_paranoid), so downstream gates can
- *                     tell "no counters" from "zero misses".
  *
- * tools/bench_compare gates on cpu_time and p99_ns and (advisorily)
- * on the counter rates; refresh bench/BENCH_perf.json after any
- * intentional change here.
+ * tools/bench_compare gates on cpu_time and p99_ns; refresh
+ * bench/BENCH_perf.json after any intentional change here.
  */
 
 #include <benchmark/benchmark.h>
@@ -44,7 +37,6 @@
 #include "ml/selection.hh"
 #include "ml/svr.hh"
 #include "obs/histogram.hh"
-#include "obs/perf_counters.hh"
 #include "stats/correlation.hh"
 #include "sys/platform.hh"
 
@@ -53,9 +45,8 @@ namespace {
 using namespace dfault;
 
 /**
- * Per-benchmark latency quantiles + hardware-counter rates. Bracket
- * every iteration with begin()/end(); construction-to-destruction
- * spans the benchmark loop for the counter delta.
+ * Per-benchmark latency quantiles. Bracket every iteration with
+ * begin()/end(); the destructor publishes the quantiles.
  */
 class KernelProfile
 {
@@ -65,8 +56,7 @@ class KernelProfile
      * mean); use > 1 for kernels cheaper than ~2 clock reads.
      */
     explicit KernelProfile(benchmark::State &state, int batch = 1)
-        : state_(state), batch_(static_cast<std::uint64_t>(batch)),
-          perfStart_(obs::PerfCounters::threadInstance().sample())
+        : state_(state), batch_(static_cast<std::uint64_t>(batch))
     {
     }
 
@@ -90,25 +80,6 @@ class KernelProfile
 
     ~KernelProfile()
     {
-        const obs::PerfSample delta = obs::PerfCounters::threadInstance()
-                                          .sample()
-                                          .deltaSince(perfStart_);
-        if (delta.valid && delta.cycles > 0) {
-            const double instr =
-                static_cast<double>(delta.instructions);
-            state_.counters["ipc"] = benchmark::Counter(
-                instr / static_cast<double>(delta.cycles));
-            if (instr > 0) {
-                state_.counters["cache_miss_per_kinstr"] =
-                    benchmark::Counter(
-                        static_cast<double>(delta.cacheMisses) / instr *
-                        1e3);
-                state_.counters["branch_miss_per_kinstr"] =
-                    benchmark::Counter(
-                        static_cast<double>(delta.branchMisses) / instr *
-                        1e3);
-            }
-        }
         const obs::HistogramSnapshot snap = hist_.snapshot();
         if (snap.count > 0) {
             state_.counters["p50_ns"] = benchmark::Counter(snap.p50());
@@ -122,7 +93,6 @@ class KernelProfile
     std::uint64_t batch_;
     std::uint64_t n_ = 0;
     std::chrono::steady_clock::time_point t0_;
-    obs::PerfSample perfStart_;
 };
 
 /** Batch size for kernels in the few-ns range. */

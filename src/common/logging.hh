@@ -36,7 +36,7 @@ std::string
 concat(Args &&...args)
 {
     std::ostringstream os;
-    (os << ... << args);
+    ((os << args), ...);
     return os.str();
 }
 

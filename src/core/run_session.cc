@@ -8,10 +8,8 @@
 #include "common/logging.hh"
 #include "core/report.hh"
 #include "fi/injector.hh"
-#include "obs/alloc_tracker.hh"
 #include "obs/events.hh"
 #include "obs/manifest.hh"
-#include "obs/perf_counters.hh"
 #include "obs/span.hh"
 #include "obs/stats.hh"
 #include "obs/timer.hh"
@@ -26,10 +24,10 @@ namespace {
 
 /** Every key the session reads: what a "--" argument may name. */
 constexpr std::string_view kSessionKeys[] = {
-    "alloc_track", "checkpoint", "deadline", "epochs", "fail_fast",
-    "faults", "footprint_mib", "manifest_out", "perf_counters",
-    "progress", "quarantine_out", "retries", "stats_out", "task_timeout",
-    "thermal_loop", "threads", "trace_events", "trace_out", "work_scale",
+    "checkpoint", "deadline", "epochs", "fail_fast", "faults",
+    "footprint_mib", "manifest_out", "progress", "quarantine_out",
+    "retries", "stats_out", "task_timeout", "thermal_loop", "threads",
+    "trace_events", "trace_out", "work_scale",
 };
 
 /** "--x-y=v" -> "x_y=v" and "--flag" -> "flag=true"; else unchanged. */
@@ -118,16 +116,6 @@ RunSession::RunSession(int argc, const char *const *argv)
     if (!config_.getString("trace_events", "").empty())
         obs::SpanTracer::instance().enable();
     obs::setProgress(config_.getBool("progress", false));
-    if (config_.getBool("perf_counters", false)) {
-        obs::PerfCounters::setPhaseProfiling(true);
-        const auto &pc = obs::PerfCounters::threadInstance();
-        if (!pc.available())
-            DFAULT_INFORM("perf counters unavailable (",
-                          pc.unavailableReason(),
-                          "); perf.* stats will read zero");
-    }
-    if (config_.getBool("alloc_track", false))
-        obs::AllocTracker::enable();
 
     // Supervision: a watchdog for silent tasks and a wall-clock
     // deadline for the whole run. 0 (the default) disables each.
@@ -154,8 +142,6 @@ RunSession::~RunSession()
                         static_cast<unsigned long long>(p.calls));
     }
     std::printf("\ntotal wall clock %.3f s\n", wall);
-    if (config_.getBool("perf_counters", false))
-        obs::printPerfTable(stdout);
 
     auto &tracer = obs::SpanTracer::instance();
     if (tracer.enabled()) {

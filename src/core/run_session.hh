@@ -22,9 +22,6 @@
  *   trace_events=<path>  record spans, export Perfetto trace-event
  *                        JSON, print the exclusive-time critical path
  *   progress=true        one-line progress updates on stderr
- *   perf_counters=true   per-phase hardware-counter attribution plus a
- *                        perf table at exit (zeros without a PMU)
- *   alloc_track=true     per-phase heap allocation attribution
  *
  * Robustness (see docs/robustness.md):
  *   faults=<spec>        arm fault-injection points (fi/injector.hh)

@@ -110,7 +110,11 @@ class Histogram
     /** Reporting value of bucket @p index (geometric midpoint). */
     static double bucketValue(int index);
 
-    /** Lower edge of bucket @p index. */
+    /**
+     * Lower edge of bucket @p index. No product code reads it; it is
+     * kept as the independent bucket-boundary oracle that the
+     * histogram tests check bucketIndex against.
+     */
     static double bucketLowerEdge(int index);
 
     /** Merge every shard (deterministic shard order) into a snapshot. */

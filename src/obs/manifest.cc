@@ -38,12 +38,10 @@ digestExcludes(const std::string &name)
     // counts, per-phase seconds); fi.* records fault-injection and
     // recovery activity (retries, quarantines, checkpoint restores),
     // which varies between a faulted and a clean run of the same
-    // config; perf.* hardware-counter readings and alloc.* heap
-    // attribution are host- and build-dependent (and zero where
-    // perf_event_open is unavailable); anything measured in seconds is
-    // host-speed-dependent wherever it lives; last_* gauges are
-    // last-writer-wins snapshots, so their final value depends on
-    // which task published last. journal.* records write-ahead-journal
+    // config; anything measured in seconds is host-speed-dependent
+    // wherever it lives; last_* gauges are last-writer-wins snapshots,
+    // so their final value depends on which task published last.
+    // journal.* records write-ahead-journal
     // activity (segments written, restores, quarantines), which
     // differs between a killed-and-resumed run and a clean one just
     // like fi.* does.
@@ -52,8 +50,7 @@ digestExcludes(const std::string &name)
     // "seconds" states for the other scale. Nothing is excluded by
     // kind: a deterministic histogram (campaign.wer) is digested.
     return name.starts_with("time.") || name.starts_with("par.") ||
-           name.starts_with("fi.") || name.starts_with("perf.") ||
-           name.starts_with("alloc.") || name.starts_with("journal.") ||
+           name.starts_with("fi.") || name.starts_with("journal.") ||
            name.find("seconds") != std::string::npos ||
            name.ends_with("_ns") ||
            name.find("_ns.") != std::string::npos ||

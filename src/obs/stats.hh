@@ -178,8 +178,9 @@ class Registry
      * pass holds the registry mutex (like dumpText), so the *set* of
      * stats is consistent; individual values are the usual relaxed
      * reads. Formulas must not touch the registry from their
-     * callbacks (they capture stat references instead — see
-     * perf_counters.cc), or this would self-deadlock.
+     * callbacks (they capture stat references instead — see the
+     * miss_rate formula in mem/hierarchy.cc and the speedup formula
+     * in par/pool.cc), or this would self-deadlock.
      */
     std::vector<StatSample> sample() const;
 

@@ -47,26 +47,11 @@ ScopedTimer::ScopedTimer(std::string_view phase, Registry *registry)
         t_phaseStack.pop_back();
         throw;
     }
-    if (AllocTracker::enabled()) {
-        allocActive_ = true;
-        allocStart_ = AllocTracker::threadTotals();
-    }
-    // Sample counters last so the phase's delta excludes this timer's
-    // own setup.
-    if (PerfCounters::phaseProfiling()) {
-        perfActive_ = true;
-        perfStart_ = PerfCounters::threadInstance().sample();
-    }
 }
 
 ScopedTimer::~ScopedTimer()
 {
     const double seconds = elapsed();
-    // Counter end-sample first: everything below is timer teardown,
-    // not phase work.
-    PerfSample perfEnd;
-    if (perfActive_)
-        perfEnd = PerfCounters::threadInstance().sample();
     SpanTracer::instance().endSpan(spanId_);
     DFAULT_ASSERT(!t_phaseStack.empty() && path_.ends_with(
                       t_phaseStack.back()),
@@ -78,20 +63,6 @@ ScopedTimer::~ScopedTimer()
     registry_.counter("time." + path_ + ".calls",
                       "entries into phase " + path_)
         .inc();
-    if (perfActive_)
-        publishPerfDelta(registry_, "perf.phase." + path_,
-                         perfEnd.deltaSince(perfStart_));
-    if (allocActive_) {
-        const AllocTracker::Totals end = AllocTracker::threadTotals();
-        registry_
-            .gauge("alloc.phase." + path_ + ".bytes",
-                   "heap bytes allocated inside phase " + path_)
-            .add(static_cast<double>(end.bytes - allocStart_.bytes));
-        registry_
-            .counter("alloc.phase." + path_ + ".allocs",
-                     "heap allocations inside phase " + path_)
-            .inc(end.allocs - allocStart_.allocs);
-    }
     // A top-level phase boundary: snapshot the counters this run has
     // accumulated so the trace gets a counter-track data point.
     if (t_phaseStack.empty() && SpanTracer::instance().enabled())

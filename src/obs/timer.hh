@@ -21,27 +21,17 @@
  * phase ends the tracer additionally samples the registry's counters
  * into Perfetto counter tracks. Exclusive-time attribution over those
  * spans lives in obs/trace_writer.hh.
- *
- * Two further opt-in attributions ride on the same phase bracket:
- * with PerfCounters::setPhaseProfiling(true) each timer snapshots the
- * calling thread's hardware counters and accumulates the delta under
- * perf.phase.<path>.* (obs/perf_counters.hh); with
- * AllocTracker::enable() it does the same for heap allocation volume
- * under alloc.phase.<path>.bytes/.allocs (obs/alloc_tracker.hh). Both
- * are inclusive like the timings, and both stat families are excluded
- * from manifest digests.
  */
 
 #ifndef DFAULT_OBS_TIMER_HH
 #define DFAULT_OBS_TIMER_HH
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/alloc_tracker.hh"
-#include "obs/perf_counters.hh"
 #include "obs/stats.hh"
 
 namespace dfault::obs {
@@ -82,10 +72,6 @@ class ScopedTimer
     std::string path_;
     std::uint64_t spanId_ = 0; ///< 0 when tracing is disabled
     std::chrono::steady_clock::time_point start_;
-    PerfSample perfStart_;          ///< used when perfActive_
-    AllocTracker::Totals allocStart_; ///< used when allocActive_
-    bool perfActive_ = false;  ///< phase profiling was on at entry
-    bool allocActive_ = false; ///< alloc tracking was on at entry
 };
 
 /**

@@ -137,7 +137,7 @@ struct ResilienceOptions
      * indices are skipped with the Cancelled disposition and a body
      * that throws CancelledError is recorded the same way (no retry).
      */
-    CancelToken token;
+    CancelToken token{};
 };
 
 /**

@@ -160,8 +160,9 @@ TEST(Campaign, OperatingPointGridsMatchThePaper)
     EXPECT_EQ(wer_points.size(), 10u);
     for (const auto &op : wer_points) {
         EXPECT_DOUBLE_EQ(op.vdd, dram::kMinVdd);
-        if (op.temperature >= 70.0)
+        if (op.temperature >= 70.0) {
             EXPECT_LE(op.trefp, 1.2);
+        }
     }
 
     const auto pue_points = pueOperatingPoints();

@@ -108,6 +108,11 @@ TEST_F(RunSessionDeathTest, FlagNamingNoSessionKeyIsFatal)
 {
     EXPECT_EXIT(runSession({"--no-such-flag"}), testing::ExitedWithCode(1),
                 "unknown flag '--no-such-flag'");
+    // Retired profiling keys are no longer session keys.
+    EXPECT_EXIT(runSession({"--perf-counters"}),
+                testing::ExitedWithCode(1), "unknown flag '--perf-counters'");
+    EXPECT_EXIT(runSession({"--alloc-track"}), testing::ExitedWithCode(1),
+                "unknown flag '--alloc-track'");
 }
 
 } // namespace

@@ -31,8 +31,9 @@ TEST(HistogramBuckets, IndexIsMonotonicAndEdgesBracket)
         ASSERT_GE(idx, prev) << "bucket index not monotonic at " << v;
         prev = idx;
         ASSERT_LE(Histogram::bucketLowerEdge(idx), v);
-        if (idx + 1 < Histogram::kBucketCount)
+        if (idx + 1 < Histogram::kBucketCount) {
             ASSERT_LT(v, Histogram::bucketLowerEdge(idx + 1));
+        }
     }
 }
 

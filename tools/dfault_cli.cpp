@@ -252,7 +252,6 @@ usage()
         "          thermal_loop faults checkpoint retries fail_fast\n"
         "          task_timeout deadline stats_out manifest_out\n"
         "          quarantine_out trace_out trace_events progress\n"
-        "          perf_counters alloc_track\n"
         "command keys: trefp_s temp_c vdd_v input_set model\n"
         "each run key is also a flag: --stats-out=<path>, --progress\n");
 }
