@@ -28,22 +28,23 @@ main(int argc, char **argv)
 
     double global_lo = 1e300, global_hi = 0.0;
     std::string lo_where, hi_where;
-    for (const auto &config : suite) {
-        const core::Measurement m =
-            session.campaign().measure(config, op);
-        std::printf("%-14s", config.label.c_str());
+    for (const core::Measurement &m : session.campaign().sweep(suite, {op})) {
+        if (m.quarantined || m.cancelled) {
+            std::printf("%-14s no result: %s\n", m.label.c_str(),
+                        m.failure.c_str());
+            continue;
+        }
+        std::printf("%-14s", m.label.c_str());
         for (int d = 0; d < geometry.deviceCount(); ++d) {
             const double wer = m.run.werForDevice(d);
             std::printf(" %11.2e", wer);
             if (wer > 0.0 && wer < global_lo) {
                 global_lo = wer;
-                lo_where = config.label + " on " +
-                           geometry.deviceAt(d).label();
+                lo_where = m.label + " on " + geometry.deviceAt(d).label();
             }
             if (wer > global_hi) {
                 global_hi = wer;
-                hi_where = config.label + " on " +
-                           geometry.deviceAt(d).label();
+                hi_where = m.label + " on " + geometry.deviceAt(d).label();
             }
         }
         std::printf("\n");
@@ -60,5 +61,5 @@ main(int argc, char **argv)
                     "[paper: up to 188x]\n",
                     global_hi / global_lo, hi_where.c_str(),
                     lo_where.c_str());
-    return 0;
+    return core::RunSession::exitCode();
 }

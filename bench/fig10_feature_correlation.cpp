@@ -41,16 +41,14 @@ main(int argc, char **argv)
     const int repeats = bench::repeats(session.config());
     ml::Dataset pue_data(
         features::FeatureCatalog::instance().names());
-    for (const auto &config : suite) {
-        for (const auto &op : core::pueOperatingPoints()) {
-            const double pue =
-                session.campaign().measurePue(config, op, repeats);
-            const auto &profile = features::ProfileCache::instance().get(
-                session.platform(), config,
-                session.campaign().params().workload);
-            pue_data.addSample(profile.features.values(), pue,
-                               config.label);
-        }
+    for (const auto &sample : core::collectPueSamples(
+             session.campaign(), suite, core::pueOperatingPoints(),
+             repeats)) {
+        const auto &profile = features::ProfileCache::instance().get(
+            session.platform(), sample.config,
+            session.campaign().params().workload);
+        pue_data.addSample(profile.features.values(), sample.pue,
+                           sample.config.label);
     }
 
     const auto wer_cors = ml::correlateFeatures(wer_data);

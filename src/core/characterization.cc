@@ -29,47 +29,62 @@ CharacterizationCampaign::CharacterizationCampaign(sys::Platform &platform,
 {
 }
 
+const par::CancelToken &
+CharacterizationCampaign::cancelToken() const
+{
+    return params_.cancelToken.valid() ? params_.cancelToken
+                                       : par::rootCancelToken();
+}
+
 Measurement
 CharacterizationCampaign::measure(const workloads::WorkloadConfig &config,
                                   const dram::OperatingPoint &op,
                                   std::uint64_t run_seed,
                                   dram::ErrorLog *log)
 {
-    return measureOn(platform_, config, op, run_seed, log);
+    // A pool batch checks the token before every attempt; a direct
+    // call runs outside the pool, so it checks here, before committing
+    // to the cell.
+    cancelToken().throwIfCancelled();
+    return measureCell(platform_, {&config, &op, run_seed}, 0, log);
 }
 
 Measurement
-CharacterizationCampaign::measureOn(sys::Platform &platform,
-                                    const workloads::WorkloadConfig &config,
-                                    const dram::OperatingPoint &op,
-                                    std::uint64_t run_seed,
-                                    dram::ErrorLog *log, int attempt)
+CharacterizationCampaign::measureCell(sys::Platform &platform,
+                                      const Cell &cell, int attempt,
+                                      dram::ErrorLog *log)
 {
+    const workloads::WorkloadConfig &config = *cell.config;
+    const dram::OperatingPoint &op = *cell.op;
     op.validate();
 
     const auto cell_start = std::chrono::steady_clock::now();
 
-    // Cooperative cancellation: bail before committing to the cell.
-    // A CancelledError here reaches the pool's Cancelled disposition,
-    // never the retry/quarantine path.
-    const par::CancelToken &token = params_.cancelToken.valid()
-                                        ? params_.cancelToken
-                                        : par::rootCancelToken();
-    token.throwIfCancelled();
+    // "label @ op" names the cell on the watchdog's heartbeat board
+    // (pool tasks only), in the trace and on the progress line; built
+    // only when one of them is listening.
+    auto &tracer = obs::SpanTracer::instance();
+    const std::string where =
+        par::Pool::currentSlot() >= 0 || tracer.enabled() ||
+                obs::progressEnabled()
+            ? config.label + " @ " + op.label()
+            : std::string();
 
     // The cell key is derived from labels, not indices, so the fault
     // schedule is identical whether the cell runs through measure()
-    // or a sweep; the attempt re-rolls it so max_attempt-bounded
+    // or a batch; the attempt re-rolls it so max_attempt-bounded
     // faults recover under retry.
     auto &inj = fi::Injector::instance();
     const std::uint64_t cell_key =
-        hashCombine(fnv1a64(config.label), fnv1a64(op.label()));
+        inj.armed() ? hashCombine(fnv1a64(config.label),
+                                  fnv1a64(op.label()))
+                    : 0;
 
     // Heartbeat contract: annotate + beat before the first fault
     // point, so a stall injected here is already under watchdog
     // observation, and beat again right after — a flagged stall then
     // raises TaskTimeoutError into the retry/quarantine machinery.
-    par::heartbeatAnnotate(config.label + " @ " + op.label());
+    par::heartbeatAnnotate(where);
     par::heartbeat();
     if (inj.armed())
         // Models a stuck device before the thermal settle (named
@@ -124,7 +139,10 @@ CharacterizationCampaign::measureOn(sys::Platform &platform,
             achieved += thermal.temperature(d);
         m.achieved.temperature = achieved / thermal.dimms();
     }
-    token.throwIfCancelled();
+    // Cooperative cancellation between the settle and the integration.
+    // A CancelledError reaches the pool's Cancelled disposition, never
+    // the retry/quarantine path.
+    cancelToken().throwIfCancelled();
     par::heartbeat();
 
     double integrate_seconds = 0.0;
@@ -132,12 +150,11 @@ CharacterizationCampaign::measureOn(sys::Platform &platform,
         const obs::ScopedTimer integrate_timer("integrate");
         // Name the measurement in the trace: the "integrate" span of
         // this cell shows which (workload, operating point) it ran.
-        if (obs::SpanTracer::instance().enabled())
-            obs::SpanTracer::instance().annotateCurrent(
-                config.label + " @ " + op.label());
+        if (tracer.enabled())
+            tracer.annotateCurrent(where);
         m.run = integrator_.run(profile, m.achieved,
                                 platform.geometry(),
-                                platform.devices(), run_seed, log);
+                                platform.devices(), cell.runSeed, log);
         integrate_seconds = integrate_timer.elapsed();
     }
 
@@ -155,8 +172,9 @@ CharacterizationCampaign::measureOn(sys::Platform &platform,
                 std::numeric_limits<double>::quiet_NaN();
     }
 
-    // publish*() so a sweep cell's deferral can capture these (see
-    // sweep(): drop on a failed attempt, replay from a checkpoint).
+    // publish*() so a batch cell's deferral can capture these (see
+    // measureCells(): drop on a failed attempt, replay from a
+    // checkpoint).
     obs::publishCounter("campaign.measurements",
                         "characterization experiments completed");
     if (m.run.crashed)
@@ -180,7 +198,7 @@ CharacterizationCampaign::measureOn(sys::Platform &platform,
         w.field("vdd_v", op.vdd);
         w.field("target_c", op.temperature);
         w.field("temp_c", m.achieved.temperature);
-        w.field("run_seed", run_seed);
+        w.field("run_seed", cell.runSeed);
         w.field("wer", wer);
         w.field("epochs",
                 static_cast<std::uint64_t>(m.run.werSeries.size()));
@@ -192,12 +210,11 @@ CharacterizationCampaign::measureOn(sys::Platform &platform,
         w.field("host_seconds", integrate_seconds);
         sink.emit("measurement", w);
     }
-    obs::progress(
-        m.label + " at " + op.label() + ": wer=" +
-        detail::concat(wer) +
-        (m.run.crashed
-             ? " UE@min" + std::to_string(m.run.crashEpoch)
-             : ""));
+    if (obs::progressEnabled())
+        obs::progress(where + ": wer=" + detail::concat(wer) +
+                      (m.run.crashed
+                           ? " UE@min" + std::to_string(m.run.crashEpoch)
+                           : ""));
     // Cell latency goes straight to the registry, not through the
     // deferral: wall time is nondeterministic, so replaying a stale
     // duration on checkpoint resume would be worse than dropping it.
@@ -224,88 +241,67 @@ CharacterizationCampaign::slotPlatform()
     return *replica;
 }
 
-void
-CharacterizationCampaign::prepareReplicas()
-{
-    const auto slots =
-        static_cast<std::size_t>(par::Pool::global().slots());
-    if (replicas_.size() < slots)
-        replicas_.resize(slots);
-}
-
 std::vector<Measurement>
-CharacterizationCampaign::sweep(
-    const std::vector<workloads::WorkloadConfig> &suite,
-    const std::vector<dram::OperatingPoint> &points)
+CharacterizationCampaign::measureCells(const std::vector<Cell> &cells,
+                                       bool fail_fast,
+                                       const CheckpointJournal *journal)
 {
-    const obs::ScopedTimer sweep_timer("sweep");
-    const std::size_t total = suite.size() * points.size();
-    prepareReplicas();
-    lastQuarantine_.clear();
     auto &pool = par::Pool::global();
+    replicas_.resize(std::max(replicas_.size(),
+                              static_cast<std::size_t>(pool.threads())));
+    const par::CancelToken &token = cancelToken();
+    par::ResilienceOptions opts;
+    opts.maxRetries = params_.taskRetries;
+    opts.failFast = true;
+    opts.token = token;
 
     // Profile every workload before the cell loop. The cache fills
     // exactly once per config either way; doing it up front keeps the
     // platform.* / profile.* stats independent of which cells are
     // measured fresh, restored from a checkpoint, or quarantined.
-    const par::CancelToken token = params_.cancelToken.valid()
-                                       ? params_.cancelToken
-                                       : par::rootCancelToken();
-    {
-        par::ResilienceOptions profile_opts;
-        profile_opts.maxRetries = params_.taskRetries;
-        profile_opts.failFast = true;
-        profile_opts.token = token;
-        pool.parallelForResilient(
-            suite.size(),
-            [&](std::size_t w, int) {
-                features::ProfileCache::instance().get(
-                    slotPlatform(), suite[w], params_.workload);
-            },
-            profile_opts);
-    }
+    std::vector<const workloads::WorkloadConfig *> configs;
+    for (const Cell &cell : cells)
+        if (std::find(configs.begin(), configs.end(), cell.config) ==
+            configs.end())
+            configs.push_back(cell.config);
+    pool.parallelForResilient(
+        configs.size(),
+        [&](std::size_t w, int) {
+            features::ProfileCache::instance().get(
+                slotPlatform(), *configs[w], params_.workload);
+        },
+        opts);
 
-    CheckpointJournal journal;
+    const bool journaling = journal != nullptr && journal->enabled();
     std::map<std::size_t, CheckpointCell> restored;
-    if (!params_.checkpointDir.empty()) {
-        journal.open(params_.checkpointDir,
-                     sweepConfigDigest(params_, suite, points));
-        restored = journal.load(total);
+    if (journaling) {
+        restored = journal->load(cells.size());
         if (!restored.empty())
             obs::progress("checkpoint: restoring " +
                           std::to_string(restored.size()) + "/" +
-                          std::to_string(total) + " cells from " +
+                          std::to_string(cells.size()) + " cells from " +
                           params_.checkpointDir);
     }
 
-    // One task per (workload, point) cell, committed in cell order:
-    // the result vector is identical whatever the worker schedule.
-    std::vector<Measurement> out(total);
-    std::vector<std::vector<obs::StatOp>> cell_ops(total);
-
-    par::ResilienceOptions opts;
-    opts.maxRetries = params_.taskRetries;
-    opts.failFast = params_.failFast;
-    opts.token = token;
+    // One task per cell, committed in cell order: the result vector
+    // is identical whatever the worker schedule.
+    std::vector<Measurement> out(cells.size());
+    std::vector<std::vector<obs::StatOp>> cell_ops(cells.size());
+    opts.failFast = fail_fast;
     const auto failures = pool.parallelForResilient(
-        total,
+        cells.size(),
         [&](std::size_t i, int attempt) {
             if (restored.count(i) != 0)
                 return; // committed after the batch, in cell order
-            const auto &config = suite[i / points.size()];
-            const auto &op = points[i % points.size()];
-            obs::progress("experiment " + std::to_string(i + 1) + "/" +
-                          std::to_string(total) + ": " + config.label +
-                          " at " + op.label());
             // Buffer this cell's stat updates: a failed attempt must
             // contribute nothing, and a successful one is journaled
             // with the cell and applied post-batch in cell order.
             obs::StatsDeferral deferral;
-            Measurement m = measureOn(slotPlatform(), config, op, 0,
-                                      nullptr, attempt);
+            Measurement m =
+                measureCell(slotPlatform(), cells[i], attempt, nullptr);
             std::vector<obs::StatOp> ops = deferral.take();
-            if (journal.enabled()) {
-                journal.store({i, m, ops});
+            if (journaling) {
+                journal->store({i, m, ops});
                 // Chaos testing: a kill between journal writes.
                 fi::Injector::instance().maybeKill("sweep.kill", i);
             }
@@ -314,20 +310,18 @@ CharacterizationCampaign::sweep(
         },
         opts);
 
-    // Failed cells (only reachable when !failFast) are quarantined;
+    // Failed cells (only reachable when !fail_fast) are quarantined;
     // cancelled cells are a distinct disposition — marked but never
     // quarantined, reported or journaled, so a resumed sweep simply
     // re-measures them.
-    std::size_t n_quarantined = 0;
     std::size_t n_cancelled = 0;
     for (const par::TaskFailure &f : failures) {
-        const auto &config = suite[f.index / points.size()];
-        const auto &op = points[f.index % points.size()];
+        const Cell &cell = cells[f.index];
         Measurement &m = out[f.index];
-        m.label = config.label;
-        m.threads = config.threads;
-        m.requested = op;
-        m.achieved = op;
+        m.label = cell.config->label;
+        m.threads = cell.config->threads;
+        m.requested = *cell.op;
+        m.achieved = *cell.op;
         m.failure = f.error;
         if (f.disposition == par::TaskDisposition::Cancelled) {
             m.cancelled = true;
@@ -335,35 +329,32 @@ CharacterizationCampaign::sweep(
             continue;
         }
         m.quarantined = true;
-        ++n_quarantined;
-        lastQuarantine_.push_back(
-            {f.index, config.label, op.label(), f.attempts, f.error});
-        DFAULT_WARN("sweep: quarantined cell ", f.index, " (",
-                    config.label, " at ", op.label(), ") after ",
-                    f.attempts, " attempt(s): ", f.error);
+        lastQuarantine_.push_back({f.index, m.label, cell.op->label(),
+                                   f.attempts, f.error});
+        DFAULT_WARN("sweep: quarantined cell ", f.index, " (", m.label,
+                    " @ ", cell.op->label(), ") after ", f.attempts,
+                    " attempt(s): ", f.error);
     }
-    if (n_quarantined > 0)
+    if (failures.size() > n_cancelled)
         obs::Registry::instance()
             .counter("fi.quarantined_slots",
                      "sweep cells quarantined after exhausting retries")
-            .inc(n_quarantined);
+            .inc(failures.size() - n_cancelled);
     if (n_cancelled > 0)
         DFAULT_INFORM("sweep: ", n_cancelled, " cell(s) cancelled (",
                       token.cancelled() ? token.reason()
                                         : std::string("task token"),
                       ")",
-                      journal.enabled()
-                          ? "; rerun with the same checkpoint dir to"
-                            " finish them"
-                          : "");
+                      journaling ? "; rerun with the same checkpoint dir"
+                                   " to finish them"
+                                 : "");
 
     // Restored cells: rebuild the measurement (profile pointer from
     // the cache warmed above) and queue their journaled stat ops.
     for (auto &[index, cell] : restored) {
-        Measurement m = std::move(cell.measurement);
-        m.profile = &features::ProfileCache::instance().get(
-            platform_, suite[index / points.size()], params_.workload);
-        out[index] = std::move(m);
+        out[index] = std::move(cell.measurement);
+        out[index].profile = &features::ProfileCache::instance().get(
+            platform_, *cells[index].config, params_.workload);
         cell_ops[index] = std::move(cell.statOps);
     }
     if (!restored.empty())
@@ -374,40 +365,51 @@ CharacterizationCampaign::sweep(
 
     // Apply every cell's stats in cell order: fresh, restored and
     // resumed runs all reach the identical registry state.
-    for (std::size_t i = 0; i < total; ++i)
-        obs::applyStatOps(cell_ops[i]);
-
+    for (const auto &ops : cell_ops)
+        obs::applyStatOps(ops);
     return out;
 }
 
-double
+std::vector<Measurement>
+CharacterizationCampaign::sweep(
+    const std::vector<workloads::WorkloadConfig> &suite,
+    const std::vector<dram::OperatingPoint> &points)
+{
+    const obs::ScopedTimer sweep_timer("sweep");
+    lastQuarantine_.clear();
+    std::vector<Cell> cells;
+    for (const auto &config : suite)
+        for (const auto &op : points)
+            cells.push_back({&config, &op, 0});
+
+    CheckpointJournal journal;
+    if (!params_.checkpointDir.empty())
+        journal.open(params_.checkpointDir,
+                     sweepConfigDigest(params_, suite, points));
+    return measureCells(cells, params_.failFast, &journal);
+}
+
+std::vector<double>
 CharacterizationCampaign::measurePue(
-    const workloads::WorkloadConfig &config,
-    const dram::OperatingPoint &op, int repeats)
+    const std::vector<workloads::WorkloadConfig> &suite,
+    const std::vector<dram::OperatingPoint> &points, int repeats)
 {
     DFAULT_ASSERT(repeats > 0, "PUE needs at least one repeat");
     const obs::ScopedTimer pue_timer("pue");
-    prepareReplicas();
-    // As in sweep(): each repeat's stats are buffered and applied in
-    // repeat order on this thread, so float sums do not depend on the
-    // schedule.
-    std::vector<std::vector<obs::StatOp>> repeat_ops(
-        static_cast<std::size_t>(repeats));
-    const auto crashed = par::Pool::global().parallelMap<char>(
-        repeat_ops.size(), [&](std::size_t r) {
-            obs::StatsDeferral deferral;
-            const Measurement m =
-                measureOn(slotPlatform(), config, op,
-                          static_cast<std::uint64_t>(r) + 1, nullptr);
-            repeat_ops[r] = deferral.take();
-            return static_cast<char>(m.run.crashed ? 1 : 0);
-        });
-    int crashes = 0;
-    for (std::size_t r = 0; r < crashed.size(); ++r) {
-        obs::applyStatOps(repeat_ops[r]);
-        crashes += crashed[r];
-    }
-    return static_cast<double>(crashes) / static_cast<double>(repeats);
+    const auto n = static_cast<std::size_t>(repeats);
+    std::vector<Cell> cells;
+    for (const auto &config : suite)
+        for (const auto &op : points)
+            for (std::uint64_t r = 1; r <= n; ++r)
+                cells.push_back({&config, &op, r});
+
+    const auto measurements = measureCells(cells, true, nullptr);
+    std::vector<double> pue(suite.size() * points.size(), 0.0);
+    for (std::size_t i = 0; i < measurements.size(); ++i)
+        pue[i / n] += measurements[i].run.crashed ? 1.0 : 0.0;
+    for (double &p : pue)
+        p /= static_cast<double>(repeats);
+    return pue;
 }
 
 std::vector<dram::OperatingPoint>

@@ -23,6 +23,8 @@
 
 namespace dfault::core {
 
+class CheckpointJournal;
+
 /** One characterization experiment: workload x operating point. */
 struct Measurement
 {
@@ -53,7 +55,7 @@ class CharacterizationCampaign
         ErrorIntegrator::Params integrator;
         /** Drive the PID thermal loop (false: temperatures are ideal). */
         bool useThermalLoop = true;
-        /** Retries granted to a failing sweep cell before quarantine.
+        /** Retries granted to a failing sweep cell or PUE repeat.
          *  Results are attempt-independent (the measurement seed never
          *  depends on the attempt), so a recovered retry is
          *  bit-identical to a first-try success. */
@@ -91,7 +93,8 @@ class CharacterizationCampaign
      * reset testbed, integrate errors over the 2-hour window. The
      * testbed reset makes every measurement independent of campaign
      * history, which is what allows sweeps to run in any order — or
-     * in parallel — with identical results.
+     * in parallel — with identical results. Runs the cell body on
+     * the calling thread, outside the pool.
      *
      * @param run_seed distinguishes repeats of the same experiment
      * @param log optional destination for sampled error records
@@ -133,40 +136,58 @@ class CharacterizationCampaign
     }
 
     /**
-     * Probability of a UE for each workload at @p op from @p repeats
-     * independent runs (paper Eq. 3: crashes / experiments). Repeats
-     * run in parallel, each seeded by its repeat index; their stats
-     * reach the registry in repeat order, identical at any thread
-     * count.
+     * Probability of a UE for every sweep() cell of suite x points
+     * from @p repeats runs each, seeded 1..repeats (paper Eq. 3:
+     * crashes / experiments). Repeats retry like sweep cells but fail
+     * fast (par::BatchError): a quarantined repeat would bias the
+     * fraction. Stats reach the registry in (cell, repeat) order.
      */
-    double measurePue(const workloads::WorkloadConfig &config,
-                      const dram::OperatingPoint &op, int repeats);
+    std::vector<double>
+    measurePue(const std::vector<workloads::WorkloadConfig> &suite,
+               const std::vector<dram::OperatingPoint> &points,
+               int repeats);
 
     sys::Platform &platform() { return platform_; }
     const ErrorIntegrator &integrator() const { return integrator_; }
     const Params &params() const { return params_; }
 
   private:
-    /** measure() against an explicit platform (a worker's replica).
-     *  @p attempt keys the fault-injection schedule only — results
-     *  never depend on it. */
-    Measurement measureOn(sys::Platform &platform,
-                          const workloads::WorkloadConfig &config,
-                          const dram::OperatingPoint &op,
-                          std::uint64_t run_seed, dram::ErrorLog *log,
-                          int attempt = 0);
+    /** A workload at an operating point under a run seed. */
+    struct Cell
+    {
+        const workloads::WorkloadConfig *config = nullptr;
+        const dram::OperatingPoint *op = nullptr;
+        std::uint64_t runSeed = 0;
+    };
+
+    /**
+     * The batch behind sweep() and measurePue(): profile, then measure
+     * every cell on the pool with retries, applying each cell's stats
+     * in cell order. Failed cells throw par::BatchError if @p fail_fast,
+     * else return quarantined; cancelled cells return cancelled. An
+     * open @p journal replays the cells it holds and stores the rest.
+     */
+    std::vector<Measurement>
+    measureCells(const std::vector<Cell> &cells, bool fail_fast,
+                 const CheckpointJournal *journal);
+
+    /** The cell body, on the campaign's platform or a worker replica.
+     *  @p attempt keys the fault schedule only, never the result. */
+    Measurement measureCell(sys::Platform &platform, const Cell &cell,
+                            int attempt, dram::ErrorLog *log);
+
+    /** params_.cancelToken, or the root token when it is invalid. */
+    const par::CancelToken &cancelToken() const;
 
     /** The calling slot's platform: the campaign's own on the
      *  submitting thread, a lazily-built replica on pool workers. */
     sys::Platform &slotPlatform();
 
-    /** Grow the replica array to the global pool's slot count. */
-    void prepareReplicas();
-
     sys::Platform &platform_;
     Params params_;
     ErrorIntegrator integrator_;
-    /** Per-slot platform replicas (index 0 unused: that is platform_). */
+    /** Per-slot platform replicas, grown to the pool's slot count by
+     *  each batch (index 0 unused: that is platform_). */
     std::vector<std::unique_ptr<sys::Platform>> replicas_;
     std::vector<QuarantineEntry> lastQuarantine_;
 };

@@ -101,17 +101,13 @@ collectPueSamples(CharacterizationCampaign &campaign,
                   const std::vector<dram::OperatingPoint> &points,
                   int repeats)
 {
+    const std::vector<double> pue =
+        campaign.measurePue(suite, points, repeats);
     std::vector<PueSample> samples;
-    samples.reserve(suite.size() * points.size());
-    for (const auto &config : suite) {
-        for (const auto &op : points) {
-            PueSample sample;
-            sample.config = config;
-            sample.op = op;
-            sample.pue = campaign.measurePue(config, op, repeats);
-            samples.push_back(std::move(sample));
-        }
-    }
+    samples.reserve(pue.size());
+    for (std::size_t i = 0; i < pue.size(); ++i)
+        samples.push_back({suite[i / points.size()],
+                           points[i % points.size()], pue[i]});
     return samples;
 }
 

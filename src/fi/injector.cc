@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <limits>
 #include <thread>
 
 #include "common/logging.hh"
@@ -255,18 +254,6 @@ Injector::maybeStall(std::string_view point, std::uint64_t key, int attempt)
                 ", attempt ", attempt, "): sleeping ", ms, " ms");
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
     return true;
-}
-
-double
-Injector::corruptDouble(std::string_view point, std::uint64_t key,
-                        double value, int attempt)
-{
-    if (shouldFire(point, key, attempt)) {
-        DFAULT_WARN("injected corruption at '", std::string(point),
-                    "' (key ", key, "): value -> NaN");
-        return std::numeric_limits<double>::quiet_NaN();
-    }
-    return value;
 }
 
 std::uint64_t

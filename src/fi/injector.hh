@@ -36,7 +36,7 @@
  *   ms=N          sleep length used by stall-style points (default 1000)
  *
  * Known points: task.throw (par::Pool task body), task.stall and
- * measure.nan (CharacterizationCampaign::measureOn), io.open / io.write
+ * measure.nan (CharacterizationCampaign::measureCell), io.open / io.write
  * / io.short_write (fi::atomicWriteFile), sweep.kill (campaign
  * checkpoint journal), shutdown.slow_drain (dfault_cli shutdown
  * epilogue), serve.slow / serve.error / serve.reject
@@ -148,10 +148,6 @@ class Injector
      */
     bool maybeStall(std::string_view point, std::uint64_t key,
                     int attempt = 0);
-
-    /** @p value, or a quiet NaN when the point fires. */
-    double corruptDouble(std::string_view point, std::uint64_t key,
-                         double value, int attempt = 0);
 
     /** Times the point fired since it was armed. */
     std::uint64_t firedCount(std::string_view point) const;

@@ -203,9 +203,6 @@ class Pool
     /** Total execution slots: worker threads plus the caller. */
     int threads() const { return threads_; }
 
-    /** Alias for threads(): per-slot state arrays are sized by this. */
-    int slots() const { return threads_; }
-
     /**
      * Execution slot of the calling thread: 0 for the submitting
      * thread inside parallelFor, 1..threads-1 on workers, -1 outside

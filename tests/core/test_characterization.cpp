@@ -79,9 +79,10 @@ TEST(Campaign, MeasurePueCountsCrashes)
 {
     CharacterizationCampaign campaign(sharedPlatform(),
                                       smallParams(false));
-    const double mild = campaign.measurePue(
-        {"kmeans", 8, "kmeans(par)"}, {0.618, dram::kMinVdd, 50.0}, 3);
-    EXPECT_DOUBLE_EQ(mild, 0.0);
+    const std::vector<double> mild = campaign.measurePue(
+        {{"kmeans", 8, "kmeans(par)"}}, {{0.618, dram::kMinVdd, 50.0}}, 3);
+    ASSERT_EQ(mild.size(), 1u);
+    EXPECT_DOUBLE_EQ(mild[0], 0.0);
 }
 
 /** @p v as canonical JSON text, numbers round-trip exact. */
@@ -128,22 +129,21 @@ digestedStatsJson()
 
 TEST(Campaign, MeasurePueStatsAreScheduleIndependent)
 {
-    // Repeats run on pool workers; the stats they publish (float sums
-    // such as the campaign.wer histogram mean included) must not
-    // depend on which worker ran which repeat.
+    // Repeats of the whole grid run on pool workers; the stats they
+    // publish (float sums such as the campaign.wer histogram mean
+    // included) must not depend on which worker ran which repeat.
     const int threads_before = par::Pool::global().threads();
     CharacterizationCampaign campaign(sharedPlatform(),
                                       smallParams(true));
     const workloads::WorkloadConfig config{"srad", 8, "srad(par)"};
     const auto points = werOperatingPoints();
-    campaign.measurePue(config, points[0], 1); // warm the profile cache
+    campaign.measurePue({config}, {points[0]}, 1); // warm the profile cache
 
     std::vector<std::string> runs;
     for (const int threads : {1, 4}) {
         par::Pool::setGlobalThreads(threads);
         obs::Registry::instance().resetAll();
-        for (const dram::OperatingPoint &op : points)
-            campaign.measurePue(config, op, 4);
+        campaign.measurePue({config}, points, 4);
         runs.push_back(digestedStatsJson());
     }
     par::Pool::setGlobalThreads(threads_before);

@@ -34,7 +34,7 @@ TEST(ProfileCache, ConcurrentSameKeyExtractsOnce)
     // it profiles on, so concurrent callers must not share one.
     par::Pool pool(8);
     std::vector<sys::Platform> platforms(
-        static_cast<std::size_t>(pool.slots()));
+        static_cast<std::size_t>(pool.threads()));
 
     auto &runs = obs::Registry::instance().counter(
         "profile.runs", "workload profiling runs");

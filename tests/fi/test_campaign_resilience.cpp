@@ -1,9 +1,10 @@
 /**
  * @file
  * Campaign-level resilience tests: quarantine semantics of a faulted
- * sweep, retry recovery producing bit-identical results, checkpoint
- * resume (including a real mid-sweep kill), and stats-digest equality
- * between interrupted and uninterrupted runs.
+ * sweep, retry recovery producing bit-identical results (sweep cells
+ * and PUE repeats alike), checkpoint resume (including a real
+ * mid-sweep kill), and stats-digest equality between interrupted and
+ * uninterrupted runs.
  */
 
 #include <gtest/gtest.h>
@@ -134,6 +135,29 @@ TEST_F(CampaignResilienceTest, RetriedFaultsYieldBitIdenticalResults)
     EXPECT_TRUE(faulted.lastQuarantine().empty());
     EXPECT_EQ(wers(measurements), reference);
     EXPECT_GE(fi::Injector::instance().firedCount("task.throw"), 4u);
+}
+
+TEST_F(CampaignResilienceTest, MeasurePueRecoversFromRetriedFaults)
+{
+    // PUE repeats share the sweep's retry budget: every task (profile
+    // extraction and repeats alike) fails its first attempt, one retry
+    // recovers all of them, and the PUE grid matches a clean run.
+    // 70 C at the longest TREFP crashes, so the grid is not all zero.
+    const std::vector<dram::OperatingPoint> points{{1.173, 1.428, 50.0},
+                                                   {2.283, 1.428, 70.0}};
+    sys::Platform platform(smallPlatform());
+    CharacterizationCampaign clean(platform, smallParams());
+    const auto reference = clean.measurePue(kSuite, points, 3);
+    ASSERT_EQ(reference.size(), 4u);
+    EXPECT_GT(reference[1] + reference[3], 0.0);
+
+    fi::Injector::instance().arm("task.throw:max_attempt=1");
+    sys::Platform platform2(smallPlatform());
+    auto params = smallParams();
+    params.taskRetries = 1;
+    CharacterizationCampaign faulted(platform2, params);
+    EXPECT_EQ(faulted.measurePue(kSuite, points, 3), reference);
+    EXPECT_GE(fi::Injector::instance().firedCount("task.throw"), 12u);
 }
 
 TEST_F(CampaignResilienceTest, FailFastSweepThrowsBatchError)

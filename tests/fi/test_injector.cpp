@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cmath>
 #include <vector>
 
 #include "fi/injector.hh"
@@ -28,7 +27,6 @@ TEST_F(InjectorTest, UnarmedPointsNeverFire)
     EXPECT_FALSE(inj.armed());
     EXPECT_FALSE(inj.shouldFire("task.throw", 0));
     inj.maybeThrow("task.throw", 0); // no-op, must not throw
-    EXPECT_DOUBLE_EQ(inj.corruptDouble("measure.nan", 0, 1.5), 1.5);
 }
 
 TEST_F(InjectorTest, DefaultSpecFiresAlways)
@@ -139,16 +137,6 @@ TEST_F(InjectorTest, MultiPointSpecsAndFiredCounts)
     EXPECT_EQ(counts[0].second, 1u);
     EXPECT_EQ(counts[1].first, "task.throw");
     EXPECT_EQ(counts[1].second, 1u);
-}
-
-TEST_F(InjectorTest, CorruptDoubleYieldsNan)
-{
-    auto &inj = Injector::instance();
-    inj.arm("measure.nan:count=1");
-    const double corrupted = inj.corruptDouble("measure.nan", 0, 2.0);
-    EXPECT_TRUE(std::isnan(corrupted));
-    // Budget exhausted: the next value passes through.
-    EXPECT_DOUBLE_EQ(inj.corruptDouble("measure.nan", 1, 2.0), 2.0);
 }
 
 TEST_F(InjectorTest, MaybeStallSleepsForTheConfiguredMs)

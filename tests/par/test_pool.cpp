@@ -51,7 +51,7 @@ TEST(Pool, CurrentSlotIsMinusOneOutsideAndBoundedInside)
     std::atomic<bool> in_range{true};
     pool.parallelFor(64, [&](std::size_t) {
         const int slot = Pool::currentSlot();
-        if (slot < 0 || slot >= pool.slots())
+        if (slot < 0 || slot >= pool.threads())
             in_range = false;
     });
     EXPECT_TRUE(in_range.load());
