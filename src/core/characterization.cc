@@ -151,7 +151,7 @@ CharacterizationCampaign::measureCell(sys::Platform &platform,
         // Name the measurement in the trace: the "integrate" span of
         // this cell shows which (workload, operating point) it ran.
         if (tracer.enabled())
-            tracer.annotateCurrent(where);
+            obs::ScopedTimer::annotate(where);
         m.run = integrator_.run(profile, m.achieved,
                                 platform.geometry(),
                                 platform.devices(), cell.runSeed, log);

@@ -72,27 +72,6 @@ DramErrorModel::trainWer(const std::vector<Measurement> &measurements,
     return model;
 }
 
-DramErrorModel
-DramErrorModel::trainPue(CharacterizationCampaign &campaign,
-                         const std::vector<PueSample> &samples,
-                         const Options &options)
-{
-    DramErrorModel model;
-    model.options_ = options;
-    model.programFeatures_ = inputSetFeatures(options.inputSet);
-
-    const ml::Dataset data =
-        makePueDataset(campaign, samples, options.inputSet);
-    DFAULT_ASSERT(!data.empty(), "no usable PUE samples");
-
-    auto dev = std::make_unique<DeviceModel>();
-    dev->scaler.fit(data.x());
-    dev->regressor = makeModel(options.kind);
-    dev->regressor->fit(dev->scaler.transform(data.x()), data.y());
-    model.pueModel_ = std::move(dev);
-    return model;
-}
-
 double
 DramErrorModel::predictWer(const features::WorkloadProfile &profile,
                            const dram::OperatingPoint &op,
@@ -123,16 +102,6 @@ DramErrorModel::predictWerAggregate(
         acc += werModels_[d].wordsShare *
                predictWer(profile, op, static_cast<int>(d));
     return acc;
-}
-
-double
-DramErrorModel::predictPue(const features::WorkloadProfile &profile,
-                           const dram::OperatingPoint &op) const
-{
-    DFAULT_ASSERT(pueModel_ != nullptr, "model was not trained for PUE");
-    const double raw = pueModel_->regressor->predict(
-        pueModel_->scaler.transform(makeRow(profile, op)));
-    return std::clamp(raw, 0.0, 1.0);
 }
 
 ConventionalModel::ConventionalModel(

@@ -6,10 +6,11 @@
  *   Merr = M(Ftrs, Dev, TREFP, VDD, TEMPDRAM)
  *
  * Trained on a characterization campaign, the model predicts the WER of
- * any workload on a specific (DIMM, rank) device, and the probability
- * of an uncorrectable error, from the workload's program features and
- * the DRAM operating parameters — in microseconds, without re-running
- * hours of characterization.
+ * any workload on a specific (DIMM, rank) device from the workload's
+ * program features and the DRAM operating parameters — in
+ * microseconds, without re-running hours of characterization. (The
+ * paper's PUE study, Fig 12, trains its learners on makePueDataset()
+ * through core/trainer.hh.)
  *
  * The workload-unaware ConventionalModel (constant rates measured with
  * the random data-pattern micro-benchmark) is provided as the baseline
@@ -20,7 +21,6 @@
 #define DFAULT_CORE_ERROR_MODEL_HH
 
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "core/characterization.hh"
@@ -51,14 +51,6 @@ class DramErrorModel
         const Options &options);
 
     /**
-     * Train a PUE predictor (device-independent, as in the paper's
-     * Fig 12 study). @p options.logTarget is ignored (linear target).
-     */
-    static DramErrorModel trainPue(CharacterizationCampaign &campaign,
-                                   const std::vector<PueSample> &samples,
-                                   const Options &options);
-
-    /**
      * Predict the WER of a workload on one device.
      * @pre the model was trained with trainWer().
      */
@@ -68,13 +60,6 @@ class DramErrorModel
     /** WER aggregated over all devices (word-weighted mean). */
     double predictWerAggregate(const features::WorkloadProfile &profile,
                                const dram::OperatingPoint &op) const;
-
-    /**
-     * Predict the probability of a UE for a workload.
-     * @pre the model was trained with trainPue().
-     */
-    double predictPue(const features::WorkloadProfile &profile,
-                      const dram::OperatingPoint &op) const;
 
     const Options &options() const { return options_; }
 
@@ -92,7 +77,6 @@ class DramErrorModel
     Options options_;
     std::vector<std::string> programFeatures_;
     std::vector<DeviceModel> werModels_;
-    std::unique_ptr<DeviceModel> pueModel_;
 
     std::vector<double> makeRow(const features::WorkloadProfile &profile,
                                 const dram::OperatingPoint &op) const;

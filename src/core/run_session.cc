@@ -134,21 +134,31 @@ RunSession::~RunSession()
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start_)
                             .count();
+    // The phase table goes to stderr, so stdout holds only what the
+    // tool itself printed and two runs of it diff clean. Seconds are
+    // summed over threads; speedup is the pool's realized
+    // parallelism for phases that submitted batches.
     const auto phases = obs::phaseTimes();
     if (!phases.empty()) {
-        std::printf("\n%-36s %12s %8s\n", "phase", "seconds", "calls");
-        for (const auto &p : phases)
-            std::printf("%-36s %12.3f %8llu\n", p.path.c_str(), p.seconds,
-                        static_cast<unsigned long long>(p.calls));
+        const auto &reg = obs::Registry::instance();
+        std::fprintf(stderr, "\n%-36s %14s %14s %8s %8s\n", "phase",
+                     "incl thread-s", "excl thread-s", "calls", "speedup");
+        for (const auto &p : phases) {
+            std::fprintf(stderr, "%-36s %14.3f %14.3f %8llu", p.path.c_str(),
+                         p.seconds, p.exclusiveSeconds,
+                         static_cast<unsigned long long>(p.calls));
+            const std::string speedup = "par.phase." + p.path + ".speedup";
+            if (reg.has(speedup))
+                std::fprintf(stderr, " %7.2fx", reg.value(speedup));
+            std::fputc('\n', stderr);
+        }
     }
-    std::printf("\ntotal wall clock %.3f s\n", wall);
+    std::fprintf(stderr, "\ntotal wall clock %.3f s\n", wall);
 
     auto &tracer = obs::SpanTracer::instance();
     if (tracer.enabled()) {
         tracer.disable();
         const auto entries = tracer.drain();
-        std::printf("\n");
-        obs::printCriticalPath(stdout, obs::exclusiveTimes(entries));
         if (tracer.dropped() > 0)
             DFAULT_WARN("span ring overflow: ", tracer.dropped(),
                         " oldest trace entries dropped");

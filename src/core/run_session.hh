@@ -19,8 +19,8 @@
  *                        also writes <path>.manifest.json provenance
  *   manifest_out=<path>  write the run manifest here instead
  *   trace_out=<path>     stream JSONL events ("-" for stderr)
- *   trace_events=<path>  record spans, export Perfetto trace-event
- *                        JSON, print the exclusive-time critical path
+ *   trace_events=<path>  record spans and export them as Perfetto
+ *                        trace-event JSON
  *   progress=true        one-line progress updates on stderr
  *
  * Robustness (see docs/robustness.md):
@@ -60,7 +60,8 @@ class RunSession
   public:
     RunSession(int argc, const char *const *argv);
 
-    /** Phase table, wall clock and every requested artifact. */
+    /** Phase table and wall clock on stderr, then every requested
+     *  artifact. */
     ~RunSession();
 
     RunSession(const RunSession &) = delete;

@@ -100,7 +100,7 @@ evaluateModel(const ml::Dataset &data, ModelKind kind, bool log_target)
             const obs::ScopedTimer fold_timer("fold");
             // Name the fold in the trace by its held-out benchmark.
             if (obs::SpanTracer::instance().enabled())
-                obs::SpanTracer::instance().annotateCurrent(
+                obs::ScopedTimer::annotate(
                     modelKindName(kind) + " holdout " +
                     fold.heldOutGroup);
             const ml::Dataset train = data.subset(fold.trainRows);

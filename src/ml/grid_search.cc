@@ -42,7 +42,7 @@ gridSearch(const Dataset &data, const std::vector<GridCandidate> &grid)
             // Name the cell in the trace by candidate and held-out
             // fold, so a slow grid cell is identifiable in Perfetto.
             if (obs::SpanTracer::instance().enabled())
-                obs::SpanTracer::instance().annotateCurrent(
+                obs::ScopedTimer::annotate(
                     candidate.label + " holdout " + fold.heldOutGroup);
             if (fold.trainRows.empty() || fold.testRows.empty())
                 return Cell{};

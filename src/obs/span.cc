@@ -29,8 +29,6 @@ SpanTracer::enable(std::size_t ring_capacity)
         ring->ring.clear();
         ring->next = 0;
         ring->dropped = 0;
-        ring->open.clear();
-        ring->adoptedParent = 0;
     }
     capacity_.store(ring_capacity, std::memory_order_relaxed);
     epoch_ = std::chrono::steady_clock::now();
@@ -51,13 +49,12 @@ SpanTracer::newId()
 }
 
 std::uint64_t
-SpanTracer::nowNs() const
+SpanTracer::sinceEnable(std::chrono::steady_clock::time_point t) const
 {
-    if (epoch_ == std::chrono::steady_clock::time_point{})
+    if (epoch_ == std::chrono::steady_clock::time_point{} || t < epoch_)
         return 0;
     return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
             .count());
 }
 
@@ -75,8 +72,10 @@ SpanTracer::localRing()
 }
 
 void
-SpanTracer::push(ThreadRing &ring, TraceEntry entry)
+SpanTracer::push(TraceEntry entry)
 {
+    ThreadRing &ring = localRing();
+    entry.tid = ring.tid;
     const std::size_t capacity =
         capacity_.load(std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(ring.mutex);
@@ -92,63 +91,20 @@ SpanTracer::push(ThreadRing &ring, TraceEntry entry)
 }
 
 std::uint64_t
-SpanTracer::beginSpan(std::string_view name, std::string_view path)
+SpanTracer::openSpan()
 {
     if (!enabled())
         return 0;
-    ThreadRing &ring = localRing();
-    OpenSpan span;
-    span.id = newId();
-    span.parent = ring.open.empty() ? ring.adoptedParent
-                                    : ring.open.back().id;
-    span.startNs = nowNs();
-    span.name = name;
-    span.path = path;
-    const std::uint64_t id = span.id;
-    {
-        std::lock_guard<std::mutex> lock(ring.mutex);
-        ring.open.push_back(std::move(span));
-    }
-    return id;
+    openSpans_.fetch_add(1, std::memory_order_relaxed);
+    return newId();
 }
 
 void
-SpanTracer::endSpan(std::uint64_t id)
+SpanTracer::closeSpan(TraceEntry span)
 {
-    if (id == 0)
-        return;
-    ThreadRing &ring = localRing();
-    OpenSpan span;
-    {
-        std::lock_guard<std::mutex> lock(ring.mutex);
-        DFAULT_ASSERT(!ring.open.empty() && ring.open.back().id == id,
-                      "span end does not match the innermost open span");
-        span = std::move(ring.open.back());
-        ring.open.pop_back();
-    }
-    if (span.exported)
-        return; // drain() already finalized this span
-    TraceEntry entry;
-    entry.kind = TraceKind::Span;
-    entry.tid = ring.tid;
-    entry.id = span.id;
-    entry.parent = span.parent;
-    entry.startNs = span.startNs;
-    entry.endNs = nowNs();
-    entry.name = std::move(span.name);
-    entry.path = std::move(span.path);
-    entry.detail = std::move(span.detail);
-    push(ring, std::move(entry));
-}
-
-void
-SpanTracer::annotateCurrent(std::string_view detail)
-{
-    if (!enabled() || !t_ring_)
-        return;
-    std::lock_guard<std::mutex> lock(t_ring_->mutex);
-    if (!t_ring_->open.empty())
-        t_ring_->open.back().detail = detail;
+    span.kind = TraceKind::Span;
+    push(std::move(span));
+    openSpans_.fetch_sub(1, std::memory_order_release);
 }
 
 void
@@ -160,14 +116,12 @@ SpanTracer::flowEvent(TraceKind kind, std::uint64_t flow_id,
     DFAULT_ASSERT(kind == TraceKind::FlowBegin ||
                       kind == TraceKind::FlowEnd,
                   "flowEvent takes FlowBegin or FlowEnd");
-    ThreadRing &ring = localRing();
     TraceEntry entry;
     entry.kind = kind;
-    entry.tid = ring.tid;
     entry.id = flow_id;
-    entry.startNs = nowNs();
+    entry.startNs = sinceEnable(std::chrono::steady_clock::now());
     entry.path = path;
-    push(ring, std::move(entry));
+    push(std::move(entry));
 }
 
 void
@@ -175,70 +129,41 @@ SpanTracer::sampleCounters(const Registry &registry)
 {
     if (!enabled())
         return;
-    ThreadRing &ring = localRing();
-    const std::uint64_t now = nowNs();
+    const std::uint64_t now =
+        sinceEnable(std::chrono::steady_clock::now());
     for (const std::string &name : registry.names()) {
         if (registry.kindOf(name) != StatKind::Counter)
             continue;
         TraceEntry entry;
         entry.kind = TraceKind::CounterSample;
-        entry.tid = ring.tid;
         entry.startNs = now;
         entry.name = name;
         entry.value = registry.value(name);
-        push(ring, std::move(entry));
+        push(std::move(entry));
     }
-}
-
-std::uint64_t
-SpanTracer::currentSpan()
-{
-    if (!t_ring_)
-        return 0;
-    std::lock_guard<std::mutex> lock(t_ring_->mutex);
-    return t_ring_->open.empty() ? t_ring_->adoptedParent
-                                : t_ring_->open.back().id;
 }
 
 std::vector<TraceEntry>
 SpanTracer::drain()
 {
+    const std::int64_t open =
+        openSpans_.load(std::memory_order_acquire);
+    DFAULT_ASSERT(open == 0, "trace drained with ", open,
+                  " span(s) still open: leave every timer first");
     std::vector<std::shared_ptr<ThreadRing>> rings;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         rings = rings_;
     }
-    const std::uint64_t now = nowNs();
     std::vector<TraceEntry> out;
     for (const auto &ring : rings) {
         std::lock_guard<std::mutex> lock(ring->mutex);
         const std::size_t n = ring->ring.size();
-        if (n > 0) {
-            // Oldest first: the overwrite cursor points at the oldest
-            // entry once the ring has wrapped.
-            const std::size_t first = ring->next % n;
-            for (std::size_t k = 0; k < n; ++k)
-                out.push_back(ring->ring[(first + k) % n]);
-        }
-        // Finalize half-open spans at the drain timestamp; mark them
-        // exported so the eventual real end is dropped, not recorded
-        // as a duplicate.
-        for (OpenSpan &span : ring->open) {
-            if (span.exported)
-                continue;
-            span.exported = true;
-            TraceEntry entry;
-            entry.kind = TraceKind::Span;
-            entry.tid = ring->tid;
-            entry.id = span.id;
-            entry.parent = span.parent;
-            entry.startNs = span.startNs;
-            entry.endNs = now;
-            entry.name = span.name;
-            entry.path = span.path;
-            entry.detail = span.detail;
-            out.push_back(std::move(entry));
-        }
+        // Oldest first: the overwrite cursor points at the oldest
+        // entry once the ring has wrapped.
+        const std::size_t first = n > 0 ? ring->next % n : 0;
+        for (std::size_t k = 0; k < n; ++k)
+            out.push_back(ring->ring[(first + k) % n]);
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const TraceEntry &a, const TraceEntry &b) {
@@ -257,51 +182,6 @@ SpanTracer::dropped() const
         total += ring->dropped;
     }
     return total;
-}
-
-std::uint64_t
-SpanTracer::spanCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto &ring : rings_) {
-        std::lock_guard<std::mutex> ring_lock(ring->mutex);
-        for (const TraceEntry &entry : ring->ring)
-            if (entry.kind == TraceKind::Span)
-                ++total;
-    }
-    return total;
-}
-
-ScopedSpan::ScopedSpan(std::string_view name, std::string_view path)
-    : id_(SpanTracer::instance().beginSpan(
-          name, path.empty() ? name : path))
-{
-}
-
-ScopedSpan::~ScopedSpan()
-{
-    SpanTracer::instance().endSpan(id_);
-}
-
-SpanAdoption::SpanAdoption(std::uint64_t parent_span)
-{
-    if (!SpanTracer::instance().enabled())
-        return;
-    auto &ring = SpanTracer::instance().localRing();
-    std::lock_guard<std::mutex> lock(ring.mutex);
-    saved_ = ring.adoptedParent;
-    ring.adoptedParent = parent_span;
-    active_ = true;
-}
-
-SpanAdoption::~SpanAdoption()
-{
-    if (!active_)
-        return;
-    auto &ring = SpanTracer::instance().localRing();
-    std::lock_guard<std::mutex> lock(ring.mutex);
-    ring.adoptedParent = saved_;
 }
 
 } // namespace dfault::obs

@@ -4,27 +4,25 @@
  *
  * A span is one timed interval on one thread: begin/end timestamps
  * (nanoseconds since the tracer was enabled), the thread that ran it,
- * and the span that encloses it. ScopedTimer opens a span for every
- * phase automatically when tracing is enabled, and par::Pool opens one
- * "task" span per executed task, parented to the submitting thread's
- * span via SpanAdoption (the span analogue of PhaseAdoption). Pool
- * task dispatch additionally records flow events linking the moment a
- * task was queued on the submitter to the moment a worker picked it
- * up, so the Perfetto view shows arrows from submission to execution.
+ * and the span that encloses it. The tracer keeps no phase stack of its
+ * own: the frames of obs/timer.hh are the only one. Every ScopedTimer
+ * frame and every pool "task" frame (PhaseAdoption) takes a span id
+ * when it is entered and records one completed span when it is left,
+ * parented to the frame below it or, at a task's base, to the
+ * submitter's span. Pool task dispatch additionally records flow events
+ * linking the moment a task was queued on the submitter to the moment
+ * a thread picked it up, so the Perfetto view shows arrows from
+ * submission to execution.
  *
  * Recording is wait-free with respect to other threads: each thread
  * owns a bounded ring (default 64 Ki entries) guarded by a mutex that
- * is only ever contended by drain(), which runs once at export time.
- * When a ring is full the *oldest* entries are overwritten, so a trace
- * always keeps the newest spans and reports how many were dropped.
- *
- * At drain time any span still open (a timer alive during export, or
- * a region that threw past a manual begin) is finalized with the drain
- * timestamp instead of being leaked; its later real end is discarded.
+ * is only ever contended by drain(), which runs once at export time,
+ * after every span has closed. When a ring is full the *oldest* entries
+ * are overwritten, so a trace always keeps the newest spans and reports
+ * how many were dropped.
  *
  * A disabled tracer costs one relaxed atomic load per would-be span.
- * See trace_writer.hh for the Chrome trace-event JSON exporter and the
- * exclusive-time attribution built on the drained entries.
+ * See trace_writer.hh for the Chrome trace-event JSON exporter.
  */
 
 #ifndef DFAULT_OBS_SPAN_HH
@@ -46,7 +44,7 @@ class Registry;
 /** What one ring-buffer record describes. */
 enum class TraceKind : std::uint8_t
 {
-    Span,          ///< completed (or drain-finalized) interval
+    Span,          ///< completed interval
     FlowBegin,     ///< pool task queued on the submitting thread
     FlowEnd,       ///< the same task picked up by an executing thread
     CounterSample, ///< cumulative stat value at a phase boundary
@@ -100,22 +98,17 @@ class SpanTracer
     std::uint64_t newId();
 
     /**
-     * Open a span named @p name (dotted @p path for reports) under the
-     * calling thread's current span. Returns the span id, 0 when
-     * disabled.
+     * Id for a span entered now, counted as open until closeSpan();
+     * 0 (nothing opened) when disabled.
      */
-    std::uint64_t beginSpan(std::string_view name, std::string_view path);
-
-    /** Close span @p id (0 is ignored). Must nest per thread. */
-    void endSpan(std::uint64_t id);
+    std::uint64_t openSpan();
 
     /**
-     * Attach a free-form annotation to the calling thread's innermost
-     * open span (exported as args.detail — e.g. which workload a
-     * "measure" span instance ran). No-op when disabled or outside
-     * any span; the last annotation wins.
+     * Record the completed span @p span (id from openSpan(), parent,
+     * timestamps, name, path and detail filled in by the caller) on the
+     * calling thread's ring, and close its id.
      */
-    void annotateCurrent(std::string_view detail);
+    void closeSpan(TraceEntry span);
 
     /** Record one side of a submission->execution flow arrow. */
     void flowEvent(TraceKind kind, std::uint64_t flow_id,
@@ -129,42 +122,19 @@ class SpanTracer
     void sampleCounters(const Registry &registry);
 
     /**
-     * Innermost open span id of the calling thread (the adopted parent
-     * if none is open locally, 0 outside any span).
-     */
-    static std::uint64_t currentSpan();
-
-    /**
      * Copy out every recorded entry, oldest first per thread, merged
-     * and sorted by startNs. Spans still open are finalized at the
-     * drain timestamp (their later real end is discarded, not
-     * recorded twice).
+     * and sorted by startNs.
+     * @pre no span is open on any thread (every frame has been left).
      */
     std::vector<TraceEntry> drain();
 
     /** Entries overwritten by ring wraparound since enable(). */
     std::uint64_t dropped() const;
 
-    /** Completed span records currently held across all rings. */
-    std::uint64_t spanCount() const;
-
-    /** Nanoseconds since enable() (0 when never enabled). */
-    std::uint64_t nowNs() const;
+    /** Nanoseconds from enable() to @p t (0 for earlier instants). */
+    std::uint64_t sinceEnable(std::chrono::steady_clock::time_point t) const;
 
   private:
-    friend class SpanAdoption;
-
-    struct OpenSpan
-    {
-        std::uint64_t id = 0;
-        std::uint64_t parent = 0;
-        std::uint64_t startNs = 0;
-        std::string name;
-        std::string path;
-        std::string detail;
-        bool exported = false; ///< finalized by drain(); drop real end
-    };
-
     /** Per-thread state; shared_ptr keeps it alive past thread exit. */
     struct ThreadRing
     {
@@ -173,59 +143,20 @@ class SpanTracer
         std::vector<TraceEntry> ring; ///< capacity fixed at enable
         std::size_t next = 0;         ///< overwrite cursor (oldest)
         std::uint64_t dropped = 0;
-        std::vector<OpenSpan> open;   ///< innermost last
-        std::uint64_t adoptedParent = 0;
     };
 
     ThreadRing &localRing();
-    void push(ThreadRing &ring, TraceEntry entry);
+    void push(TraceEntry entry);
 
     static thread_local std::shared_ptr<ThreadRing> t_ring_;
 
     std::atomic<bool> enabled_{false};
     std::atomic<std::uint64_t> nextId_{1};
+    std::atomic<std::int64_t> openSpans_{0};
     std::chrono::steady_clock::time_point epoch_{};
     mutable std::mutex mutex_; ///< guards rings_
     std::vector<std::shared_ptr<ThreadRing>> rings_;
     std::atomic<std::size_t> capacity_{kDefaultRingCapacity};
-};
-
-/** RAII span; a no-op (id 0) when the tracer is disabled. */
-class ScopedSpan
-{
-  public:
-    explicit ScopedSpan(std::string_view name,
-                        std::string_view path = "");
-    ~ScopedSpan();
-
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
-
-    std::uint64_t id() const { return id_; }
-
-  private:
-    std::uint64_t id_ = 0;
-};
-
-/**
- * Make @p parent_span the calling thread's span parent while alive —
- * pool workers adopt the submitting thread's span around each task so
- * cross-thread parentage survives dispatch, exactly as PhaseAdoption
- * carries the phase stack. Restores the previous parent on
- * destruction.
- */
-class SpanAdoption
-{
-  public:
-    explicit SpanAdoption(std::uint64_t parent_span);
-    ~SpanAdoption();
-
-    SpanAdoption(const SpanAdoption &) = delete;
-    SpanAdoption &operator=(const SpanAdoption &) = delete;
-
-  private:
-    std::uint64_t saved_ = 0;
-    bool active_ = false;
 };
 
 } // namespace dfault::obs

@@ -1,24 +1,13 @@
 #include "obs/trace_writer.hh"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
 
-#include "common/logging.hh"
 #include "fi/durable.hh"
 #include "obs/json.hh"
-#include "obs/stats.hh"
 
 namespace dfault::obs {
 
 namespace {
-
-struct SpanAgg
-{
-    std::uint32_t tid = 0;
-    double seconds = 0.0;
-    double childSeconds = 0.0;
-};
 
 double
 spanSeconds(const TraceEntry &e)
@@ -28,7 +17,7 @@ spanSeconds(const TraceEntry &e)
                : 0.0;
 }
 
-/** Attribution key: task spans report under their phase path. */
+/** Slice path: a task submitted outside any phase reports as "task". */
 const std::string &
 pathOf(const TraceEntry &e)
 {
@@ -36,72 +25,6 @@ pathOf(const TraceEntry &e)
 }
 
 } // namespace
-
-std::vector<ExclusiveTime>
-exclusiveTimes(const std::vector<TraceEntry> &entries)
-{
-    // Pass 1: per-span durations; pass 2: charge each span's duration
-    // to its parent's child-sum, but only when both ran on the same
-    // thread (a cross-thread child overlaps its parent in wall time).
-    std::unordered_map<std::uint64_t, SpanAgg> spans;
-    spans.reserve(entries.size());
-    for (const TraceEntry &e : entries)
-        if (e.kind == TraceKind::Span)
-            spans[e.id] = SpanAgg{e.tid, spanSeconds(e), 0.0};
-    for (const TraceEntry &e : entries) {
-        if (e.kind != TraceKind::Span || e.parent == 0)
-            continue;
-        const auto parent = spans.find(e.parent);
-        if (parent != spans.end() && parent->second.tid == e.tid)
-            parent->second.childSeconds += spanSeconds(e);
-    }
-
-    std::map<std::string, ExclusiveTime> by_path;
-    for (const TraceEntry &e : entries) {
-        if (e.kind != TraceKind::Span)
-            continue;
-        const SpanAgg &agg = spans[e.id];
-        ExclusiveTime &row = by_path[pathOf(e)];
-        row.path = pathOf(e);
-        row.inclusiveSeconds += agg.seconds;
-        // Clock jitter can make a child's reading exceed its
-        // parent's; clamp rather than report negative time.
-        row.exclusiveSeconds +=
-            std::max(0.0, agg.seconds - agg.childSeconds);
-        ++row.spans;
-    }
-
-    std::vector<ExclusiveTime> rows;
-    rows.reserve(by_path.size());
-    for (auto &kv : by_path)
-        rows.push_back(std::move(kv.second));
-    std::sort(rows.begin(), rows.end(),
-              [](const ExclusiveTime &a, const ExclusiveTime &b) {
-                  return a.exclusiveSeconds > b.exclusiveSeconds;
-              });
-    return rows;
-}
-
-double
-threadRootSeconds(const std::vector<TraceEntry> &entries)
-{
-    std::unordered_map<std::uint64_t, std::uint32_t> tids;
-    for (const TraceEntry &e : entries)
-        if (e.kind == TraceKind::Span)
-            tids[e.id] = e.tid;
-    double total = 0.0;
-    for (const TraceEntry &e : entries) {
-        if (e.kind != TraceKind::Span)
-            continue;
-        const auto parent = tids.find(e.parent);
-        const bool root =
-            e.parent == 0 || parent == tids.end() ||
-            parent->second != e.tid;
-        if (root)
-            total += spanSeconds(e);
-    }
-    return total;
-}
 
 std::string
 traceJson(const std::vector<TraceEntry> &entries)
@@ -189,46 +112,6 @@ writeTraceFile(const std::string &path,
                const std::vector<TraceEntry> &entries)
 {
     return fi::atomicWriteFile(path, traceJson(entries) + "\n");
-}
-
-void
-printCriticalPath(std::FILE *out,
-                  const std::vector<ExclusiveTime> &rows, int top_k)
-{
-    if (rows.empty())
-        return;
-    double total = 0.0;
-    for (const ExclusiveTime &row : rows)
-        total += row.exclusiveSeconds;
-
-    auto &reg = Registry::instance();
-    std::fprintf(out, "%-36s %10s %6s %10s %8s %8s\n", "critical path",
-                 "excl s", "%run", "incl s", "spans", "speedup");
-    const int limit = std::min<int>(top_k, static_cast<int>(rows.size()));
-    for (int i = 0; i < limit; ++i) {
-        const ExclusiveTime &row = rows[i];
-        const double pct =
-            total > 0.0 ? 100.0 * row.exclusiveSeconds / total : 0.0;
-        std::fprintf(out, "%-36s %10.3f %5.1f%% %10.3f %8llu",
-                     row.path.c_str(), row.exclusiveSeconds, pct,
-                     row.inclusiveSeconds,
-                     static_cast<unsigned long long>(row.spans));
-        // Realized speedup for paths that submitted pool batches.
-        const std::string base = "par.phase." + row.path;
-        if (reg.has(base + ".task_seconds") &&
-            reg.has(base + ".wall_seconds")) {
-            const double wall = reg.value(base + ".wall_seconds");
-            const double task = reg.value(base + ".task_seconds");
-            if (wall > 0.0)
-                std::fprintf(out, " %7.2fx", task / wall);
-        }
-        std::fputc('\n', out);
-    }
-    std::fprintf(out,
-                 "total exclusive (thread-root) time %.3f s over %d "
-                 "path%s\n",
-                 total, static_cast<int>(rows.size()),
-                 rows.size() == 1 ? "" : "s");
 }
 
 } // namespace dfault::obs

@@ -1,7 +1,6 @@
 /**
  * @file
- * Chrome trace-event export and exclusive-time attribution for the
- * span layer.
+ * Chrome trace-event export for the span layer.
  *
  * traceJson() turns drained SpanTracer entries into the Chrome
  * trace-event JSON object format — complete ("X") slices per span,
@@ -9,50 +8,19 @@
  * counter ("C") tracks from the stats samples, and thread-name
  * metadata — loadable in Perfetto (ui.perfetto.dev) and
  * chrome://tracing. Timestamps are microseconds since the tracer was
- * enabled.
- *
- * exclusiveTimes() computes where wall-clock actually goes: a span's
- * exclusive time is its duration minus the durations of its same-
- * thread children (a child dispatched to another thread runs
- * concurrently, so it belongs to that thread's timeline, not the
- * parent's). Summing exclusive time over all spans therefore equals
- * the summed duration of the thread-root spans — the invariant the
- * obs tests pin down — and ranking paths by exclusive time names the
- * phases on the critical path, which inclusive phaseTimes() cannot do
- * (a parent always dominates its children there).
+ * enabled. Exclusive time per phase comes from the timers themselves
+ * (time.<path>.exclusive_seconds, obs/timer.hh), not from the trace.
  */
 
 #ifndef DFAULT_OBS_TRACE_WRITER_HH
 #define DFAULT_OBS_TRACE_WRITER_HH
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "obs/span.hh"
 
 namespace dfault::obs {
-
-/** Per-path aggregate of span time, exclusive vs inclusive. */
-struct ExclusiveTime
-{
-    std::string path;       ///< dotted phase path ("task" spans keep
-                            ///< their submitting phase's path)
-    double inclusiveSeconds = 0.0;
-    double exclusiveSeconds = 0.0;
-    std::uint64_t spans = 0;
-};
-
-/**
- * Aggregate drained entries into per-path inclusive/exclusive time,
- * sorted by descending exclusive time. See file comment for the
- * attribution rule.
- */
-std::vector<ExclusiveTime>
-exclusiveTimes(const std::vector<TraceEntry> &entries);
-
-/** Summed duration of thread-root spans (= total exclusive time). */
-double threadRootSeconds(const std::vector<TraceEntry> &entries);
 
 /** The full trace as one Chrome trace-event JSON document. */
 std::string traceJson(const std::vector<TraceEntry> &entries);
@@ -63,17 +31,6 @@ std::string traceJson(const std::vector<TraceEntry> &entries);
  */
 bool writeTraceFile(const std::string &path,
                     const std::vector<TraceEntry> &entries);
-
-/**
- * Print the critical-path summary: the top @p top_k paths by
- * exclusive time with their share of the summed exclusive time, span
- * counts, and — for paths that ran pool batches — queued task counts
- * and realized speedup pulled from the par.phase.* stats of the
- * global registry.
- */
-void printCriticalPath(std::FILE *out,
-                       const std::vector<ExclusiveTime> &rows,
-                       int top_k = 10);
 
 } // namespace dfault::obs
 

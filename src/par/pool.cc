@@ -92,13 +92,11 @@ steadyNanos()
 struct Batch
 {
     const std::function<void(std::size_t, int)> *body = nullptr;
-    /** Submitter's phase path; workers adopt it so nested ScopedTimers
-     *  land under the same stats paths as the serial execution. */
-    std::string phasePath;
-    /** Submitter's open span; workers adopt it so their task spans
-     *  (and any spans opened inside the body) parent correctly across
-     *  the dispatch boundary. 0 when tracing is disabled. */
-    std::uint64_t parentSpan = 0;
+    /** Submitter's phase path and span; every task runs inside a
+     *  PhaseAdoption of it, so nested ScopedTimers land under the same
+     *  stats paths as the serial execution and task spans parent to the
+     *  submitter's across the dispatch boundary. */
+    obs::PhaseContext context;
     int maxRetries = 0;
     /** Resolved cancellation source (opts.token or the root). */
     CancelToken token;
@@ -354,7 +352,8 @@ Pool::parallelForResilient(std::size_t n,
         return {};
 
     auto &reg = obs::Registry::instance();
-    const std::string phase = obs::ScopedTimer::currentPath();
+    const obs::PhaseContext context = obs::ScopedTimer::context();
+    const std::string &phase = context.path;
 
     // Nested calls (already on a pool slot) and 1-thread pools run the
     // loop inline: this is the serial reference execution, and it makes
@@ -367,7 +366,6 @@ Pool::parallelForResilient(std::size_t n,
         }
         Batch batch;
         batch.body = &body;
-        batch.phasePath = phase;
         batch.maxRetries = opts.maxRetries;
         batch.token = opts.token.valid() ? opts.token : rootCancelToken();
         const auto start = std::chrono::steady_clock::now();
@@ -376,9 +374,9 @@ Pool::parallelForResilient(std::size_t n,
             // increments par.tasks_executed once below), so it also
             // records exactly one task span. runIndex never throws,
             // so the loop always drains the full range.
-            std::optional<obs::ScopedSpan> span;
-            if (adopt_slot && obs::SpanTracer::instance().enabled())
-                span.emplace("task", phase);
+            std::optional<obs::PhaseAdoption> frame;
+            if (adopt_slot)
+                frame.emplace(context);
             for (std::size_t i = 0; i < n; ++i)
                 runIndex(batch, i);
         }
@@ -406,11 +404,9 @@ Pool::parallelForResilient(std::size_t n,
     auto &tracer = obs::SpanTracer::instance();
     Batch batch;
     batch.body = &body;
-    batch.phasePath = phase;
+    batch.context = context;
     batch.maxRetries = opts.maxRetries;
     batch.token = opts.token.valid() ? opts.token : rootCancelToken();
-    if (tracer.enabled())
-        batch.parentSpan = obs::SpanTracer::currentSpan();
 
     // Chunk the range: enough tasks for stealing to balance uneven
     // costs, few enough that queue traffic stays negligible.
@@ -540,37 +536,23 @@ Pool::runTask(const Task &task)
     Batch &batch = *task.batch;
     const auto start = std::chrono::steady_clock::now();
 
-    // Workers inherit the submitter's phase stack so their nested
-    // timers accumulate under the same dotted paths as a serial run;
-    // the submitting thread (slot 0) already carries it. Span
-    // parentage crosses the dispatch boundary the same way: workers
-    // adopt the submitter's open span (slot 0 already has it open).
-    std::optional<obs::PhaseAdoption> adopted;
-    if (t_slot > 0 && !batch.phasePath.empty())
-        adopted.emplace(batch.phasePath);
-    std::optional<obs::SpanAdoption> span_parent;
-    if (t_slot > 0 && batch.parentSpan != 0)
-        span_parent.emplace(batch.parentSpan);
-
     {
-        std::optional<obs::ScopedSpan> span;
-        if (obs::SpanTracer::instance().enabled()) {
-            span.emplace("task", batch.phasePath);
-            if (task.flowId != 0) {
-                // Flow arrow target, timestamped inside the task span
-                // so Perfetto binds it to the enclosing slice.
-                obs::SpanTracer::instance().flowEvent(
-                    obs::TraceKind::FlowEnd, task.flowId,
-                    batch.phasePath);
-            }
+        // Whichever thread runs it, the task continues the submitter's
+        // phase: nested timers get the submitter's dotted paths and the
+        // task span hangs off the submitter's span.
+        const obs::PhaseAdoption frame(batch.context);
+        if (task.flowId != 0) {
+            // Flow arrow target, timestamped inside the task span so
+            // Perfetto binds it to the enclosing slice.
+            obs::SpanTracer::instance().flowEvent(
+                obs::TraceKind::FlowEnd, task.flowId,
+                batch.context.path);
         }
         // runIndex never throws: each index retries, then quarantines
         // into batch.failures, so the chunk always runs to completion.
         for (std::size_t i = task.begin; i < task.end; ++i)
             runIndex(batch, i);
     }
-    span_parent.reset();
-    adopted.reset();
 
     const double task_ns = secondsSince(start) * 1e9;
     batch.taskNanos.fetch_add(static_cast<std::uint64_t>(task_ns),

@@ -98,27 +98,6 @@ TEST(ErrorModel, PredictionRisesWithTemperature)
     EXPECT_GT(warm, cold);
 }
 
-TEST(ErrorModel, PueModelPredictsProbabilities)
-{
-    auto &m = mini();
-    const std::vector<dram::OperatingPoint> points{
-        {1.45, dram::kMinVdd, 70.0}, {2.283, dram::kMinVdd, 70.0}};
-    const auto samples =
-        collectPueSamples(m.campaign, m.suite, points, 3);
-    ASSERT_EQ(samples.size(), m.suite.size() * 2);
-
-    DramErrorModel::Options options;
-    options.inputSet = InputSet::Set2; // the paper's best PUE set
-    const auto model =
-        DramErrorModel::trainPue(m.campaign, samples, options);
-    const auto &profile = *m.measurements.front().profile;
-    for (const auto &point : points) {
-        const double pue = model.predictPue(profile, point);
-        EXPECT_GE(pue, 0.0);
-        EXPECT_LE(pue, 1.0);
-    }
-}
-
 TEST(ErrorModel, ConventionalModelIsWorkloadUnaware)
 {
     auto &m = mini();
@@ -136,15 +115,12 @@ TEST(ErrorModel, ConventionalModelIsWorkloadUnaware)
     EXPECT_NE(conventional.predictWer(points[1]), a);
 }
 
-TEST(ErrorModelDeath, PredictWithoutTrainingPanics)
+TEST(ErrorModelDeath, PredictForUnknownDevicePanics)
 {
     auto &m = mini();
     const auto wer_model = DramErrorModel::trainWer(
         m.measurements, 8, DramErrorModel::Options{});
     const auto &profile = *m.measurements.front().profile;
-    EXPECT_DEATH((void)wer_model.predictPue(profile,
-                                            dram::OperatingPoint{}),
-                 "not trained for PUE");
     EXPECT_DEATH((void)wer_model.predictWer(profile,
                                             dram::OperatingPoint{}, 9),
                  "out of range");

@@ -24,6 +24,7 @@ TEST(StatsDigest, ExcludesWallClockDependentStats)
 {
     EXPECT_TRUE(digestExcludes("time.sweep.seconds"));
     EXPECT_TRUE(digestExcludes("time.sweep.calls"));
+    EXPECT_TRUE(digestExcludes("time.sweep.exclusive_seconds"));
     EXPECT_TRUE(digestExcludes("par.tasks_executed"));
     EXPECT_TRUE(digestExcludes("par.phase.sweep.speedup"));
     EXPECT_TRUE(digestExcludes("campaign.host_seconds"));

@@ -1,14 +1,17 @@
 /**
  * @file
- * Span tracer tests: ring wraparound, half-open finalization, task
- * span parentage across pool dispatch, exclusive-time attribution and
- * the Chrome trace-event export.
+ * Span tracer tests: ring wraparound, the drain precondition, span
+ * parentage of timer and task frames across pool dispatch, and the
+ * Chrome trace-event export.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/json.hh"
@@ -32,28 +35,38 @@ spansOf(const std::vector<TraceEntry> &entries)
     return spans;
 }
 
+TEST(SpanTracerDeathTest, DrainWithOpenTimerAborts)
+{
+    auto &tracer = SpanTracer::instance();
+    tracer.enable();
+    {
+        Registry reg;
+        const ScopedTimer open("open", &reg);
+        EXPECT_DEATH((void)tracer.drain(), "still open");
+    }
+    tracer.disable();
+    EXPECT_EQ(spansOf(tracer.drain()).size(), 1u);
+}
+
 TEST(SpanTracer, DisabledTracerRecordsNothing)
 {
     auto &tracer = SpanTracer::instance();
     tracer.disable();
-    EXPECT_EQ(tracer.beginSpan("x", "x"), 0u);
-    const ScopedSpan span("x");
-    EXPECT_EQ(span.id(), 0u);
-    EXPECT_EQ(SpanTracer::currentSpan(), 0u);
+    EXPECT_EQ(tracer.openSpan(), 0u);
+    Registry reg;
+    const ScopedTimer timer("x", &reg);
+    EXPECT_EQ(ScopedTimer::context().span, 0u);
 }
 
 TEST(SpanTracer, RingWraparoundKeepsNewestSpans)
 {
     auto &tracer = SpanTracer::instance();
     tracer.enable(4);
-    for (int i = 0; i < 10; ++i) {
-        const std::string path = "p" + std::to_string(i);
-        const ScopedSpan span("step", path);
-    }
+    for (int i = 0; i < 10; ++i)
+        const PhaseAdoption task({"p" + std::to_string(i), 0});
     tracer.disable();
 
     EXPECT_EQ(tracer.dropped(), 6u); // 10 recorded into 4 slots
-    EXPECT_EQ(tracer.spanCount(), 4u);
     const auto spans = spansOf(tracer.drain());
     ASSERT_EQ(spans.size(), 4u);
     // Oldest-first drain of the newest four spans.
@@ -62,36 +75,18 @@ TEST(SpanTracer, RingWraparoundKeepsNewestSpans)
                   "p" + std::to_string(6 + k));
 }
 
-TEST(SpanTracer, DrainFinalizesHalfOpenSpanExactlyOnce)
-{
-    auto &tracer = SpanTracer::instance();
-    tracer.enable();
-    const std::uint64_t id = tracer.beginSpan("leaky", "leaky");
-    ASSERT_NE(id, 0u);
-
-    const auto first = spansOf(tracer.drain());
-    ASSERT_EQ(first.size(), 1u);
-    EXPECT_EQ(first[0].id, id);
-    EXPECT_GE(first[0].endNs, first[0].startNs); // finalized at drain
-
-    // The real end arrives later; it must not record a duplicate.
-    tracer.endSpan(id);
-    tracer.disable();
-    const auto second = spansOf(tracer.drain());
-    EXPECT_TRUE(second.empty());
-}
-
 TEST(SpanTracer, NestingRecordsParentage)
 {
     auto &tracer = SpanTracer::instance();
     tracer.enable();
+    Registry reg;
     std::uint64_t outer_id = 0, inner_id = 0;
     {
-        const ScopedSpan outer("outer");
-        outer_id = outer.id();
-        EXPECT_EQ(SpanTracer::currentSpan(), outer_id);
-        const ScopedSpan inner("inner");
-        inner_id = inner.id();
+        const ScopedTimer outer("outer", &reg);
+        outer_id = ScopedTimer::context().span;
+        const ScopedTimer inner("inner", &reg);
+        inner_id = ScopedTimer::context().span;
+        ScopedTimer::annotate("which inner");
     }
     tracer.disable();
     const auto spans = spansOf(tracer.drain());
@@ -102,34 +97,68 @@ TEST(SpanTracer, NestingRecordsParentage)
         spans[0].id == inner_id ? spans[0] : spans[1];
     EXPECT_EQ(outer_e.id, outer_id);
     EXPECT_EQ(outer_e.parent, 0u);
+    EXPECT_EQ(outer_e.name, "outer");
     EXPECT_EQ(inner_e.id, inner_id);
     EXPECT_EQ(inner_e.parent, outer_id);
+    EXPECT_EQ(inner_e.name, "inner");
+    EXPECT_EQ(inner_e.path, "outer.inner");
+    EXPECT_EQ(inner_e.detail, "which inner");
     EXPECT_LE(inner_e.endNs, outer_e.endNs); // child inside parent
 }
 
-TEST(SpanTracer, TaskSpansParentToSubmitterAcrossDispatch)
+TEST(SpanTracer, TimerSpansParentThroughTaskToSubmitter)
 {
     par::Pool::setGlobalThreads(8);
     auto &tracer = SpanTracer::instance();
     tracer.enable();
+    Registry reg;
     std::uint64_t root_id = 0;
     {
-        const ScopedSpan root("submit_root");
-        root_id = root.id();
-        par::Pool::global().parallelFor(64, [](std::size_t) {});
+        const ScopedTimer root("submit_root", &reg);
+        root_id = ScopedTimer::context().span;
+        par::Pool::global().parallelFor(64, [&](std::size_t) {
+            const ScopedTimer cell("cell", &reg);
+            // Long enough that the workers pick up their share
+            // before the submitter could drain the whole batch.
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        });
     }
     tracer.disable();
 
-    int task_spans = 0;
+    std::unordered_map<std::uint64_t, TraceEntry> spans;
+    std::uint32_t root_tid = 0;
     for (const TraceEntry &e : spansOf(tracer.drain())) {
-        if (e.name != "task")
+        spans[e.id] = e;
+        if (e.id == root_id)
+            root_tid = e.tid;
+    }
+    ASSERT_TRUE(spans.count(root_id));
+    int task_spans = 0, cells = 0, worker_cells = 0;
+    for (const auto &[id, e] : spans) {
+        if (e.name == "task") {
+            ++task_spans;
+            // Worker or submitter alike: every task span hangs off the
+            // span that was open on the submitting thread.
+            EXPECT_EQ(e.parent, root_id);
+            EXPECT_EQ(e.path, "submit_root");
+        }
+        if (e.name != "cell")
             continue;
-        ++task_spans;
-        // Worker or submitter alike: every task span hangs off the
-        // span that was open on the submitting thread.
-        EXPECT_EQ(e.parent, root_id);
+        ++cells;
+        EXPECT_EQ(e.path, "submit_root.cell");
+        // A timer inside a pool task is parented to that task's span,
+        // on the thread that ran it.
+        const auto task = spans.find(e.parent);
+        ASSERT_NE(task, spans.end());
+        EXPECT_EQ(task->second.name, "task");
+        EXPECT_EQ(task->second.tid, e.tid);
+        EXPECT_EQ(task->second.parent, root_id);
+        if (e.tid != root_tid)
+            ++worker_cells;
     }
     EXPECT_GT(task_spans, 0);
+    EXPECT_EQ(cells, 64);
+    EXPECT_GT(worker_cells, 0);
 }
 
 TEST(SpanTracer, TaskSpanCountMatchesExecutedCounter)
@@ -178,39 +207,6 @@ runTracedWorkload()
             sink = sink + static_cast<double>(k);
     });
     const ScopedTimer tail("tail", &reg);
-}
-
-void
-expectExclusiveSumsToThreadRoots(int threads)
-{
-    par::Pool::setGlobalThreads(threads);
-    auto &tracer = SpanTracer::instance();
-    tracer.enable();
-    runTracedWorkload();
-    tracer.disable();
-
-    const auto entries = tracer.drain();
-    const auto rows = exclusiveTimes(entries);
-    ASSERT_FALSE(rows.empty());
-    double exclusive_sum = 0.0;
-    for (const ExclusiveTime &row : rows) {
-        EXPECT_GE(row.exclusiveSeconds, 0.0);
-        EXPECT_GE(row.inclusiveSeconds, row.exclusiveSeconds);
-        exclusive_sum += row.exclusiveSeconds;
-    }
-    // Exclusive time partitions the thread-root spans exactly: what a
-    // parent loses to same-thread children, the children gain.
-    EXPECT_NEAR(exclusive_sum, threadRootSeconds(entries), 1e-9);
-}
-
-TEST(ExclusiveTimes, SumToThreadRootInclusiveSerial)
-{
-    expectExclusiveSumsToThreadRoots(1);
-}
-
-TEST(ExclusiveTimes, SumToThreadRootInclusiveParallel)
-{
-    expectExclusiveSumsToThreadRoots(8);
 }
 
 TEST(TraceJson, ExportParsesAndMatchesSpanCount)
