@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <optional>
 #include <string>
+#include <unordered_map>
 
 #include <pthread.h>
 
@@ -84,6 +84,147 @@ steadyNanos()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
+}
+
+/**
+ * How long an idle worker, or a submitter whose own share is done,
+ * busy-waits before parking on a condition variable. A serve tick is
+ * ~20 us of work, so a futex sleep/wake round trip per batch costs as
+ * much as the batch; past this bound the thread parks and costs
+ * nothing while the pool is idle.
+ */
+constexpr auto kSpinBeforePark = std::chrono::microseconds(50);
+
+/** One spin-wait iteration: a pause hint to the core, where the
+ *  architecture has one, else a yield. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__) || defined(__arm__)
+    asm volatile("yield" ::: "memory");
+#else
+    std::this_thread::yield();
+#endif
+}
+
+/** Spin until ready() holds or kSpinBeforePark elapses; returns
+ *  ready()'s last value. Reads the clock once per 64 polls. */
+template <typename Ready>
+bool
+spinUntil(const Ready &ready)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + kSpinBeforePark;
+    for (;;) {
+        for (int k = 0; k < 64; ++k) {
+            if (ready())
+                return true;
+            cpuRelax();
+        }
+        if (std::chrono::steady_clock::now() >= deadline)
+            return ready();
+    }
+}
+
+// The pool's par.* stats, each resolved from the registry on first use
+// (so it appears exactly when a by-name lookup would have created it)
+// and touched only through its atomics afterwards. Registry references
+// stay valid for the registry's lifetime.
+
+obs::Counter &
+batchesStat()
+{
+    static obs::Counter &stat = obs::Registry::instance().counter(
+        "par.batches", "parallelFor batches submitted");
+    return stat;
+}
+
+obs::Counter &
+tasksQueuedStat()
+{
+    static obs::Counter &stat = obs::Registry::instance().counter(
+        "par.tasks_queued", "pool tasks queued");
+    return stat;
+}
+
+obs::Counter &
+tasksExecutedStat()
+{
+    static obs::Counter &stat = obs::Registry::instance().counter(
+        "par.tasks_executed", "pool tasks executed");
+    return stat;
+}
+
+obs::Histogram &
+taskNsStat()
+{
+    static obs::Histogram &stat = obs::Registry::instance().histogram(
+        "par.task_ns", "pool task wall-clock latency (nanoseconds)");
+    return stat;
+}
+
+obs::Counter &
+stealsStat()
+{
+    static obs::Counter &stat = obs::Registry::instance().counter(
+        "par.steals", "tasks stolen from another slot");
+    return stat;
+}
+
+obs::Counter &
+taskRetriesStat()
+{
+    static obs::Counter &stat = obs::Registry::instance().counter(
+        "par.task_retries", "task attempts retried after a failure");
+    return stat;
+}
+
+/**
+ * Add one batch to par.phase.<phase>.{task,wall}_seconds. The gauge
+ * pair of each phase path is looked up, and its speedup formula
+ * registered, the first time a batch publishes under that path; later
+ * batches cost one map find under the cache's own mutex.
+ */
+void
+publishPhaseStats(const std::string &phase, double task_seconds,
+                  double wall_seconds)
+{
+    struct PhaseGauges
+    {
+        obs::Gauge *task;
+        obs::Gauge *wall;
+    };
+    static std::mutex mutex;
+    static std::unordered_map<std::string, PhaseGauges> cache;
+
+    PhaseGauges gauges{};
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        auto it = cache.find(phase);
+        if (it == cache.end()) {
+            auto &reg = obs::Registry::instance();
+            const std::string base =
+                "par.phase." + (phase.empty() ? std::string("main") : phase);
+            obs::Gauge &task = reg.gauge(
+                base + ".task_seconds", "summed task seconds inside " + base);
+            obs::Gauge &wall =
+                reg.gauge(base + ".wall_seconds",
+                          "submitter wall seconds inside " + base);
+            reg.formula(
+                base + ".speedup",
+                [&task, &wall] {
+                    const double w = wall.value();
+                    return w > 0.0 ? task.value() / w : 0.0;
+                },
+                "parallel speedup (task seconds / wall seconds)");
+            it = cache.emplace(phase, PhaseGauges{&task, &wall}).first;
+        }
+        gauges = it->second;
+    }
+    gauges.task->add(task_seconds);
+    gauges.wall->add(wall_seconds);
 }
 
 } // namespace
@@ -205,10 +346,7 @@ runIndex(Batch &batch, std::size_t i)
         }
         deactivate();
         if (attempt < batch.maxRetries) {
-            obs::Registry::instance()
-                .counter("par.task_retries",
-                         "task attempts retried after a failure")
-                .inc();
+            taskRetriesStat().inc();
             continue;
         }
         std::lock_guard<std::mutex> lock(batch.mutex);
@@ -351,48 +489,45 @@ Pool::parallelForResilient(std::size_t n,
     if (n == 0)
         return {};
 
-    auto &reg = obs::Registry::instance();
-    const obs::PhaseContext context = obs::ScopedTimer::context();
-    const std::string &phase = context.path;
+    Batch batch;
+    batch.body = &body;
+    batch.maxRetries = opts.maxRetries;
+    batch.token = opts.token.valid() ? opts.token : rootCancelToken();
 
-    // Nested calls (already on a pool slot) and 1-thread pools run the
-    // loop inline: this is the serial reference execution, and it makes
+    // Nested calls (already on a pool slot) run inline and publish
+    // nothing: they are part of the enclosing task, and this makes
     // recursive parallelism (forest training inside a fold) safe.
-    if (t_slot >= 0 || threads_ == 1) {
-        const bool adopt_slot = t_slot < 0;
-        if (adopt_slot) {
-            t_slot = 0;
-            t_board = boards_[0].get();
-        }
-        Batch batch;
-        batch.body = &body;
-        batch.maxRetries = opts.maxRetries;
-        batch.token = opts.token.valid() ? opts.token : rootCancelToken();
+    // runIndex never throws, so the loop always drains the full range.
+    if (t_slot >= 0) {
+        for (std::size_t i = 0; i < n; ++i)
+            runIndex(batch, i);
+        return finishBatch(batch, opts);
+    }
+
+    batch.context = obs::ScopedTimer::context();
+    const std::string &phase = batch.context.path;
+
+    // A 1-thread pool runs the loop inline on the caller as slot 0:
+    // this is the serial reference execution.
+    if (threads_ == 1) {
+        t_slot = 0;
+        t_board = boards_[0].get();
         const auto start = std::chrono::steady_clock::now();
         {
             // The whole inline range counts as one executed task (it
             // increments par.tasks_executed once below), so it also
-            // records exactly one task span. runIndex never throws,
-            // so the loop always drains the full range.
-            std::optional<obs::PhaseAdoption> frame;
-            if (adopt_slot)
-                frame.emplace(context);
+            // records exactly one task span.
+            const obs::PhaseAdoption frame(batch.context);
             for (std::size_t i = 0; i < n; ++i)
                 runIndex(batch, i);
         }
-        if (adopt_slot) {
-            t_slot = -1;
-            t_board = nullptr;
-            const double wall = secondsSince(start);
-            reg.counter("par.batches", "parallelFor batches submitted")
-                .inc();
-            reg.counter("par.tasks_executed", "pool tasks executed")
-                .inc();
-            reg.histogram("par.task_ns",
-                          "pool task wall-clock latency (nanoseconds)")
-                .record(wall * 1e9);
-            publishPhaseStats(phase, wall, wall);
-        }
+        t_slot = -1;
+        t_board = nullptr;
+        const double wall = secondsSince(start);
+        batchesStat().inc();
+        tasksExecutedStat().inc();
+        taskNsStat().record(wall * 1e9);
+        publishPhaseStats(phase, wall, wall);
         return finishBatch(batch, opts);
     }
 
@@ -400,13 +535,7 @@ Pool::parallelForResilient(std::size_t n,
     t_slot = 0;
     t_board = boards_[0].get();
     const auto start = std::chrono::steady_clock::now();
-
     auto &tracer = obs::SpanTracer::instance();
-    Batch batch;
-    batch.body = &body;
-    batch.context = context;
-    batch.maxRetries = opts.maxRetries;
-    batch.token = opts.token.valid() ? opts.token : rootCancelToken();
 
     // Chunk the range: enough tasks for stealing to balance uneven
     // costs, few enough that queue traffic stays negligible.
@@ -436,18 +565,28 @@ Pool::parallelForResilient(std::size_t n,
         }
         ++count;
     }
+    // A worker that found no work checks pending_ under sleepMutex_
+    // before it parks; passing through that mutex here means it either
+    // sees this batch's tasks or is already waiting for the notify.
+    {
+        std::lock_guard<std::mutex> lock(sleepMutex_);
+    }
     sleepCv_.notify_all();
-    reg.counter("par.batches", "parallelFor batches submitted").inc();
-    reg.counter("par.tasks_queued", "pool tasks queued")
-        .inc(static_cast<std::uint64_t>(count));
+    batchesStat().inc();
+    tasksQueuedStat().inc(static_cast<std::uint64_t>(count));
 
     // Help drain: run our own share, then steal stragglers. Once the
-    // queues look empty, wait for in-flight tasks under batch.mutex —
-    // completion is only ever observed under that mutex (see runTask),
-    // so the stack-allocated Batch cannot be torn down while a worker
-    // is still signalling it.
+    // queues look empty, spin briefly for in-flight tasks, then wait
+    // under batch.mutex. Completion is only ever concluded under that
+    // mutex, even after the spin saw remaining == 0: the last worker
+    // decrements and notifies while holding it (see runTask), so the
+    // stack-allocated Batch cannot be torn down while a worker is
+    // still signalling it.
     while (tryRun(0)) {
     }
+    spinUntil([&] {
+        return batch.remaining.load(std::memory_order_acquire) == 0;
+    });
     {
         std::unique_lock<std::mutex> lock(batch.mutex);
         batch.cv.wait(lock, [&] {
@@ -475,6 +614,10 @@ Pool::workerLoop(int slot)
     t_board = boards_[static_cast<std::size_t>(slot)].get();
     for (;;) {
         if (tryRun(slot))
+            continue;
+        if (spinUntil([&] {
+                return pending_.load(std::memory_order_relaxed) > 0;
+            }))
             continue;
         std::unique_lock<std::mutex> lock(sleepMutex_);
         sleepCv_.wait(lock, [&] {
@@ -522,9 +665,7 @@ Pool::stealAny(int thief, Task &task)
         task = other.queue.front(); // FIFO: take the coldest chunk
         other.queue.pop_front();
         pending_.fetch_sub(1, std::memory_order_relaxed);
-        obs::Registry::instance()
-            .counter("par.steals", "tasks stolen from another slot")
-            .inc();
+        stealsStat().inc();
         return true;
     }
     return false;
@@ -557,13 +698,8 @@ Pool::runTask(const Task &task)
     const double task_ns = secondsSince(start) * 1e9;
     batch.taskNanos.fetch_add(static_cast<std::uint64_t>(task_ns),
                               std::memory_order_relaxed);
-    obs::Registry::instance()
-        .counter("par.tasks_executed", "pool tasks executed")
-        .inc();
-    obs::Registry::instance()
-        .histogram("par.task_ns",
-                   "pool task wall-clock latency (nanoseconds)")
-        .record(task_ns);
+    tasksExecutedStat().inc();
+    taskNsStat().record(task_ns);
 
     // Decrement and notify under batch.mutex. The submitter only
     // concludes the batch is done while holding the same mutex, so by
@@ -756,28 +892,6 @@ heartbeatAnnotate(const std::string &note)
     std::lock_guard<std::mutex> lock(board->noteMutex);
     board->note = note;
     board->phasePath = phase;
-}
-
-void
-Pool::publishPhaseStats(const std::string &phase, double task_seconds,
-                        double wall_seconds)
-{
-    auto &reg = obs::Registry::instance();
-    const std::string base =
-        "par.phase." + (phase.empty() ? std::string("main") : phase);
-    obs::Gauge &task = reg.gauge(base + ".task_seconds",
-                                 "summed task seconds inside " + base);
-    obs::Gauge &wall = reg.gauge(base + ".wall_seconds",
-                                 "submitter wall seconds inside " + base);
-    task.add(task_seconds);
-    wall.add(wall_seconds);
-    reg.formula(
-        base + ".speedup",
-        [&task, &wall] {
-            const double w = wall.value();
-            return w > 0.0 ? task.value() / w : 0.0;
-        },
-        "parallel speedup (task seconds / wall seconds)");
 }
 
 } // namespace dfault::par

@@ -288,8 +288,6 @@ class Pool
     bool popOwn(int slot, Task &task);
     bool stealAny(int thief, Task &task);
     void watchdogLoop();
-    void publishPhaseStats(const std::string &phase, double task_seconds,
-                           double wall_seconds);
 
     const int threads_;
     std::vector<std::unique_ptr<Slot>> slots_;

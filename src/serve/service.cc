@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "fi/injector.hh"
@@ -357,7 +358,7 @@ void
 PredictionService::degradeLocked(Pending &&req, const std::string &reason)
 {
     double prediction = kNaN;
-    std::string source;
+    std::string_view source;
     const auto lkg = lastKnownGood_.find(req.key);
     if (lkg != lastKnownGood_.end()) {
         prediction = lkg->second;
@@ -380,7 +381,8 @@ PredictionService::degradeLocked(Pending &&req, const std::string &reason)
     r.disposition = Disposition::Degraded;
     r.degraded = true;
     r.prediction = prediction;
-    r.reason = reason + " (" + source + ")";
+    r.reason.reserve(reason.size() + source.size() + 3);
+    r.reason.append(reason).append(" (").append(source).append(")");
     responses_.push_back(std::move(r));
 }
 
@@ -607,9 +609,9 @@ PredictionService::tick()
         // deadline resolve on the cheap path right here, consuming no
         // budget — that is the entire point of degraded mode.
         std::size_t budget = params_.budgetPerTick;
+        batch.reserve(std::min(budget, queueDepthLocked()));
         std::vector<int> probes(breakers_.size(), 0);
         for (int c = 0; c < kPriorityCount; ++c) {
-            std::deque<Pending> keep;
             auto &q = queues_[c];
             while (!q.empty()) {
                 Pending p = std::move(q.front());
@@ -632,16 +634,18 @@ PredictionService::tick()
                         --budget;
                         batch.push_back(std::move(p));
                     } else {
-                        keep.push_back(std::move(p));
+                        keep_.push_back(std::move(p));
                     }
                 } else if (budget > 0) {
                     --budget;
                     batch.push_back(std::move(p));
                 } else {
-                    keep.push_back(std::move(p));
+                    keep_.push_back(std::move(p));
                 }
             }
-            q = std::move(keep);
+            // q is drained: the swap leaves keep_ empty, reusing q's
+            // storage for the next class instead of a deque per class.
+            q.swap(keep_);
         }
     }
 

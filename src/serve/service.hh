@@ -327,6 +327,9 @@ class PredictionService
     mutable std::mutex mutex_;
     /** One FIFO per priority class, indexed by Priority. */
     std::vector<std::deque<Pending>> queues_;
+    /** tick()'s requests kept for a later tick, swapped into each
+     *  class's queue in turn; empty outside tick(). */
+    std::deque<Pending> keep_;
     std::vector<Breaker> breakers_;
     std::vector<Response> responses_;
     std::unordered_map<std::uint64_t, double> lastKnownGood_;

@@ -5,16 +5,48 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <ctime>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/histogram.hh"
+#include "obs/stats.hh"
+#include "obs/timer.hh"
 #include "par/pool.hh"
 
 namespace dfault::par {
 namespace {
+
+/** A par.* counter's value, 0 while no batch has created it yet. */
+std::uint64_t
+counterValue(const std::string &name)
+{
+    auto &reg = obs::Registry::instance();
+    return reg.has(name) ? reg.counter(name).value() : 0;
+}
+
+std::uint64_t
+taskNsCount()
+{
+    auto &reg = obs::Registry::instance();
+    return reg.has("par.task_ns") ? reg.histogram("par.task_ns").count()
+                                  : 0;
+}
+
+double
+processCpuSeconds()
+{
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 
 TEST(DefaultThreads, HonoursEnvironmentVariable)
 {
@@ -104,6 +136,91 @@ TEST(Pool, ZeroTasksIsANoOp)
     bool ran = false;
     pool.parallelFor(0, [&](std::size_t) { ran = true; });
     EXPECT_FALSE(ran);
+}
+
+TEST(PoolTelemetry, PinsBatchTaskAndPhaseValues)
+{
+    auto &reg = obs::Registry::instance();
+    const std::vector<std::string> phases = {"pooltelemetry_a",
+                                             "pooltelemetry_b"};
+    const std::vector<std::size_t> sizes = {1, 3, 33, 100};
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        Pool pool(threads);
+        const std::uint64_t batches0 = counterValue("par.batches");
+        const std::uint64_t queued0 = counterValue("par.tasks_queued");
+        const std::uint64_t executed0 = counterValue("par.tasks_executed");
+        const std::uint64_t task_ns0 = taskNsCount();
+        std::uint64_t batches = 0;
+        for (const std::string &phase : phases) {
+            const obs::ScopedTimer timer(phase);
+            for (const std::size_t n : sizes) {
+                std::vector<double> out(n, 0.0);
+                pool.parallelFor(n, [&](std::size_t i) {
+                    double acc = 0.0;
+                    for (int k = 0; k < 1000; ++k)
+                        acc += static_cast<double>(i * k % 7);
+                    out[i] = acc;
+                });
+                ++batches;
+            }
+            pool.parallelFor(0, [](std::size_t) {}); // counts nothing
+        }
+        const std::uint64_t queued = counterValue("par.tasks_queued") - queued0;
+        const std::uint64_t executed =
+            counterValue("par.tasks_executed") - executed0;
+        EXPECT_EQ(counterValue("par.batches") - batches0, batches);
+        if (threads == 1) {
+            // Inline batches: one executed task each, nothing queued.
+            EXPECT_EQ(queued, 0u);
+            EXPECT_EQ(executed, batches);
+        } else {
+            EXPECT_EQ(queued, executed);
+            EXPECT_GE(executed, batches);
+        }
+        EXPECT_EQ(taskNsCount() - task_ns0, executed);
+    }
+    for (const std::string &phase : phases) {
+        SCOPED_TRACE(phase);
+        const std::string base = "par.phase." + phase;
+        const double task = reg.value(base + ".task_seconds");
+        const double wall = reg.value(base + ".wall_seconds");
+        EXPECT_GT(task, 0.0);
+        EXPECT_GT(wall, 0.0);
+        EXPECT_DOUBLE_EQ(reg.value(base + ".speedup"), task / wall);
+    }
+}
+
+TEST(Pool, IdleWorkersParkInsteadOfSpinning)
+{
+    Pool pool(4);
+    std::atomic<int> ran{0};
+    pool.parallelFor(64, [&](std::size_t) { ran.fetch_add(1); });
+    ASSERT_EQ(ran.load(), 64);
+    // Workers may spin briefly after a batch, but the spin is bounded:
+    // 200 ms of idling must cost the process next to no CPU time.
+    const double before = processCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_LT(processCpuSeconds() - before, 0.020);
+}
+
+TEST(PoolStress, BackToBackBatchesRunEveryIndexExactlyOnce)
+{
+    // Many tiny batches back to back: each stack-local result (and the
+    // pool's stack-local batch state) is torn down right after the
+    // batch returns, so a worker still touching either after the
+    // submitter concluded completion shows up as a wrong count here or
+    // as a race under the thread sanitizer.
+    Pool pool(4);
+    const std::array<std::size_t, 4> sizes = {1, 2, 3, 33};
+    for (int iter = 0; iter < 20000; ++iter) {
+        const std::size_t n = sizes[static_cast<std::size_t>(iter) % 4];
+        std::array<int, 33> hits{};
+        pool.parallelFor(n, [&](std::size_t i) { ++hits[i]; });
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            ASSERT_EQ(hits[i], i < n ? 1 : 0)
+                << "batch " << iter << " (n=" << n << "), index " << i;
+    }
 }
 
 TEST(Pool, SetGlobalThreadsReplacesTheGlobalPool)
