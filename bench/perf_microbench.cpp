@@ -5,7 +5,8 @@
  * double-bit-detect decode paths), the cache and MCU models, feature
  * correlation (full Spearman and the ranking kernel alone), the three
  * ML models' prediction latency (the paper's "predict DRAM errors
- * within 300 ms" claim), and one full error-integration run.
+ * within 300 ms" claim), the forest and kNN fits, and one full
+ * error-integration run.
  *
  * Each kernel benchmark carries two custom counters alongside
  * google-benchmark's mean time:
@@ -23,6 +24,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -356,6 +358,60 @@ BM_RdfPredictMany_AllFeatures(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RdfPredictMany_AllFeatures);
+
+/**
+ * One device's WER dataset as the forest sees it in LOBO: 13
+ * benchmarks x 10 operating points, two operating-parameter columns
+ * with repeated levels and 250 workload features that are constant
+ * within a benchmark (half quantized, every fifth a duplicate). Unlike
+ * campaignX's uniform draws, nearly every candidate sort is full of
+ * tied keys.
+ */
+ml::Matrix
+tieHeavyX(std::vector<double> &y)
+{
+    const double trefp[] = {1.173, 1.45, 1.727, 2.005, 2.283};
+    Rng rng(11);
+    ml::Matrix x;
+    y.clear();
+    for (int g = 0; g < 13; ++g) {
+        std::vector<double> workload(250);
+        for (std::size_t f = 0; f < workload.size(); ++f) {
+            if (f % 5 == 4)
+                workload[f] = workload[f - 1];
+            else if (f % 2 == 0)
+                workload[f] = std::floor(rng.uniform() * 4.0) / 4.0;
+            else
+                workload[f] = rng.uniform();
+        }
+        const double effect = 1.0 + 3.0 * workload[0] + workload[1];
+        for (int r = 0; r < 10; ++r) {
+            std::vector<double> row{trefp[r % 5], r < 5 ? 50.0 : 60.0};
+            row.insert(row.end(), workload.begin(), workload.end());
+            x.push_back(std::move(row));
+            y.push_back(effect * trefp[r % 5] * (r < 5 ? 1.0 : 1.5) +
+                        0.05 * rng.uniform());
+        }
+    }
+    return x;
+}
+
+/** A default-parameter forest fit (100 trees, mtry 84) on tieHeavyX. */
+void
+BM_RdfFit_AllFeatures(benchmark::State &state)
+{
+    std::vector<double> y;
+    const auto x = tieHeavyX(y);
+    KernelProfile prof(state);
+    for (auto _ : state) {
+        prof.begin();
+        ml::RandomForestRegressor model;
+        model.fit(x, y);
+        benchmark::DoNotOptimize(&model);
+        prof.end();
+    }
+}
+BENCHMARK(BM_RdfFit_AllFeatures)->Unit(benchmark::kMillisecond);
 
 void
 BM_KnnFit_Set1(benchmark::State &state)

@@ -21,6 +21,8 @@ constexpr double kTriplesPerWord = 72.0 * 71.0 * 70.0 / 6.0;
 constexpr double kPaperWords = 8.0 * 1024.0 * 1024.0 * 1024.0 / 8.0;
 /** Cap on detailed records sampled into the error log per run. */
 constexpr int kMaxLoggedRecords = 256;
+/** Mixed into a run's seed to derive its record-sampling stream. */
+constexpr std::uint64_t kLogStreamTag = 0x6c6f672d73747265ull; // "log-stre"
 
 std::uint64_t
 hashOperatingPoint(const dram::OperatingPoint &op)
@@ -381,10 +383,14 @@ ErrorIntegrator::run(const features::WorkloadProfile &profile,
     result.allocatedWords =
         static_cast<double>(profile.footprintWords) * exposure_scale;
 
-    Rng rng(hashCombine(
+    const std::uint64_t stream_seed = hashCombine(
         hashCombine(params_.seed, hashOperatingPoint(op)),
-        hashCombine(run_seed,
-                    std::hash<std::string>{}(profile.label))));
+        hashCombine(run_seed, std::hash<std::string>{}(profile.label)));
+    // CE, UE and crash outcomes draw from `rng`; record sampling for
+    // the error log draws from its own stream, so attaching a log
+    // leaves the run's result unchanged.
+    Rng rng(stream_seed);
+    Rng log_rng(hashCombine(stream_seed, kLogStreamTag));
 
     const std::uint32_t rows_per_bank = geometry.params().rowsPerBank;
     int logged = 0;
@@ -410,12 +416,12 @@ ErrorIntegrator::run(const features::WorkloadProfile &profile,
             if (log != nullptr && new_ce > 0 &&
                 logged < kMaxLoggedRecords &&
                 !dev_int.hotRows.empty()) {
-                const auto &hot = dev_int.hotRows[rng.uniformInt(
+                const auto &hot = dev_int.hotRows[log_rng.uniformInt(
                     static_cast<std::uint64_t>(dev_int.hotRows.size()))];
-                const std::uint64_t payload = rng.next();
+                const std::uint64_t payload = log_rng.next();
                 dram::Codeword word = ecc_.encode(payload);
                 const int bit =
-                    static_cast<int>(rng.uniformInt(std::uint64_t{72}));
+                    static_cast<int>(log_rng.uniformInt(std::uint64_t{72}));
                 dram::EccSecded::flipBit(word, bit);
                 const auto decode =
                     ecc_.decodeKnownFlips(word, 1, payload);
@@ -428,7 +434,7 @@ ErrorIntegrator::run(const features::WorkloadProfile &profile,
                 record.row = static_cast<std::uint32_t>(hot.first %
                                                         rows_per_bank);
                 record.column = static_cast<std::uint32_t>(
-                    rng.uniformInt(std::uint64_t{
+                    log_rng.uniformInt(std::uint64_t{
                         geometry.params().wordsPerRow}));
                 record.type = dram::ErrorType::CE;
                 record.epoch = static_cast<std::uint64_t>(epoch);
@@ -444,7 +450,7 @@ ErrorIntegrator::run(const features::WorkloadProfile &profile,
                 result.crashDevice = d;
                 if (log != nullptr && !dev_int.hotRows.empty()) {
                     const auto &hot = dev_int.hotRows[0];
-                    const std::uint64_t payload = rng.next();
+                    const std::uint64_t payload = log_rng.next();
                     dram::Codeword word = ecc_.encode(payload);
                     dram::EccSecded::flipBit(word, 3);
                     dram::EccSecded::flipBit(word, 47);

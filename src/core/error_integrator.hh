@@ -144,7 +144,9 @@ class ErrorIntegrator
      *
      * @param run_seed distinguishes repeat runs of the same experiment
      *        (paper repeats each PUE experiment 10 times)
-     * @param log optional error log receiving sampled error records
+     * @param log optional error log receiving sampled error records;
+     *        sampling draws from its own random stream, so the
+     *        returned RunResult is the same with or without a log
      */
     RunResult run(const features::WorkloadProfile &profile,
                   const dram::OperatingPoint &op,

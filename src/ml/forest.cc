@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -47,10 +49,22 @@ RandomForestRegressor::fit(const Matrix &x, std::span<const double> y)
 
     const std::size_t n = x.size();
     const std::size_t p = x[0].size();
+    if (n > std::numeric_limits<std::uint32_t>::max())
+        DFAULT_FATAL("forest: ", n, " training rows do not fit the "
+                     "32-bit row ids of the split search");
     const std::size_t mtry =
         params_.maxFeatures > 0
             ? std::min(params_.maxFeatures, p)
             : std::max<std::size_t>(1, p / 3);
+
+    // Feature-major copy of x, shared read-only by every tree: one
+    // candidate's values are one contiguous column.
+    std::vector<double> cols(n * p);
+    for (std::size_t r = 0; r < n; ++r) {
+        DFAULT_ASSERT(x[r].size() == p, "forest: ragged training row ", r);
+        for (std::size_t f = 0; f < p; ++f)
+            cols[f * n + r] = x[r][f];
+    }
 
     std::vector<std::vector<Node>> grown(params_.trees);
 
@@ -67,38 +81,54 @@ RandomForestRegressor::fit(const Matrix &x, std::span<const double> y)
         std::vector<std::size_t> feature_pool(p);
         std::iota(feature_pool.begin(), feature_pool.end(), 0);
 
-        // Bootstrap sample.
-        std::vector<std::size_t> rows(n);
-        for (auto &r : rows)
-            r = rng.uniformInt(static_cast<std::uint64_t>(n));
+        // The bootstrap sample is the tree's row arena: every node
+        // owns the range [begin, end) of it, its rows in node order.
+        std::vector<std::uint32_t> arena(n);
+        for (auto &r : arena)
+            r = static_cast<std::uint32_t>(
+                rng.uniformInt(static_cast<std::uint64_t>(n)));
+
+        // Split-search record: a candidate's value next to its row,
+        // so the sort compares keys without chasing row pointers.
+        struct Key
+        {
+            double v;
+            std::uint32_t row;
+        };
+        std::vector<Key> keys(n);
+        std::vector<std::uint32_t> right_rows;
+        right_rows.reserve(n);
 
         // Iterative recursion via an explicit stack of work items.
         struct Item
         {
-            std::vector<std::size_t> rows;
+            std::uint32_t begin;
+            std::uint32_t end;
             int depth;
             int nodeIndex;
         };
         nodes.push_back(Node{});
         std::vector<Item> stack;
-        stack.push_back({std::move(rows), 0, 0});
+        stack.push_back({0, static_cast<std::uint32_t>(n), 0, 0});
 
         while (!stack.empty()) {
-            Item item = std::move(stack.back());
+            const Item item = stack.back();
             stack.pop_back();
             Node &node = nodes[item.nodeIndex];
+            const std::uint32_t *rows = arena.data() + item.begin;
+            const std::size_t m = item.end - item.begin;
 
             double sum = 0.0, sq = 0.0;
-            for (const std::size_t r : item.rows) {
-                sum += y[r];
-                sq += y[r] * y[r];
+            for (std::size_t i = 0; i < m; ++i) {
+                sum += y[rows[i]];
+                sq += y[rows[i]] * y[rows[i]];
             }
-            const double count = static_cast<double>(item.rows.size());
+            const double count = static_cast<double>(m);
             const double node_mean = sum / count;
             const double node_sse = sq - sum * sum / count;
 
             const bool stop = item.depth >= params_.maxDepth ||
-                              item.rows.size() < 2 * params_.minSamplesLeaf ||
+                              m < 2 * params_.minSamplesLeaf ||
                               node_sse <= 1e-12;
             if (stop) {
                 node.feature = -1;
@@ -119,25 +149,36 @@ RandomForestRegressor::fit(const Matrix &x, std::span<const double> y)
             double best_threshold = 0.0;
             double best_sse = node_sse;
 
-            std::vector<std::size_t> order = item.rows;
+            // Each candidate sorts the rows in the order the previous
+            // candidate left them, starting from node order. The
+            // unstable sort's tie order depends on that input order,
+            // and the scan sums y through tied runs in it, so the
+            // carried order is part of the fitted forest (see
+            // docs/performance.md, "Why the forest keeps std::sort's
+            // tie order").
+            for (std::size_t i = 0; i < m; ++i)
+                keys[i].row = rows[i];
             for (std::size_t k = 0; k < mtry; ++k) {
                 const std::size_t feat = feature_pool[k];
-                std::sort(order.begin(), order.end(),
-                          [&](std::size_t a, std::size_t b) {
-                              return x[a][feat] < x[b][feat];
+                const double *col = cols.data() + feat * n;
+                for (std::size_t i = 0; i < m; ++i)
+                    keys[i].v = col[keys[i].row];
+                std::sort(keys.begin(), keys.begin() + m,
+                          [](const Key &a, const Key &b) {
+                              return a.v < b.v;
                           });
                 // Prefix scan of sums for O(n) split evaluation.
                 double left_sum = 0.0, left_sq = 0.0;
-                for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-                    const double v = y[order[i]];
+                for (std::size_t i = 0; i + 1 < m; ++i) {
+                    const double v = y[keys[i].row];
                     left_sum += v;
                     left_sq += v * v;
-                    const double xv = x[order[i]][feat];
-                    const double xn = x[order[i + 1]][feat];
+                    const double xv = keys[i].v;
+                    const double xn = keys[i + 1].v;
                     if (xv == xn)
                         continue;
                     const std::size_t nl = i + 1;
-                    const std::size_t nr = order.size() - nl;
+                    const std::size_t nr = m - nl;
                     if (nl < params_.minSamplesLeaf ||
                         nr < params_.minSamplesLeaf)
                         continue;
@@ -160,13 +201,20 @@ RandomForestRegressor::fit(const Matrix &x, std::span<const double> y)
                 continue;
             }
 
-            std::vector<std::size_t> left_rows, right_rows;
-            for (const std::size_t r : item.rows) {
-                if (x[r][best_feature] <= best_threshold)
-                    left_rows.push_back(r);
+            // Stable partition of the node's range: left rows first,
+            // then right rows, each in node order.
+            const double *col = cols.data() + best_feature * n;
+            std::uint32_t mid = item.begin;
+            right_rows.clear();
+            for (std::uint32_t i = item.begin; i < item.end; ++i) {
+                const std::uint32_t r = arena[i];
+                if (col[r] <= best_threshold)
+                    arena[mid++] = r;
                 else
                     right_rows.push_back(r);
             }
+            std::copy(right_rows.begin(), right_rows.end(),
+                      arena.begin() + mid);
 
             const int left_index = static_cast<int>(nodes.size());
             nodes.push_back(Node{});
@@ -179,10 +227,8 @@ RandomForestRegressor::fit(const Matrix &x, std::span<const double> y)
             parent.left = left_index;
             parent.right = right_index;
 
-            stack.push_back({std::move(left_rows), item.depth + 1,
-                             left_index});
-            stack.push_back({std::move(right_rows), item.depth + 1,
-                             right_index});
+            stack.push_back({item.begin, mid, item.depth + 1, left_index});
+            stack.push_back({mid, item.end, item.depth + 1, right_index});
         }
     });
 

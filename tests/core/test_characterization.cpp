@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/characterization.hh"
+#include "dram/error_log.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
 #include "obs/stats.hh"
@@ -192,6 +196,50 @@ TEST(Campaign, DataPatternAblationToggleWorks)
         {"srad", 8, "srad(par)"}, {2.283, dram::kMinVdd, 60.0});
     EXPECT_GT(a.run.wer(), 0.0);
     EXPECT_DOUBLE_EQ(a.run.wer(), b.run.wer());
+}
+
+TEST(Campaign, ErrorLogLeavesMeasurementUnchanged)
+{
+    // Record sampling draws from its own stream: attaching an error
+    // log (as fig09 does) must not move CE, UE or crash outcomes, or
+    // Fig 9a would report different PUE data than Fig 12 trains on.
+    const auto bits = [](const std::vector<double> &values) {
+        std::vector<std::uint64_t> out;
+        for (const double v : values)
+            out.push_back(std::bit_cast<std::uint64_t>(v));
+        return out;
+    };
+    CharacterizationCampaign campaign(sharedPlatform(),
+                                      smallParams(true));
+    int crashes = 0;
+    for (const dram::OperatingPoint &op : pueOperatingPoints()) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE(::testing::Message()
+                         << op.trefp << " s, seed " << seed);
+            dram::ErrorLog log(sharedPlatform().geometry());
+            const RunResult bare =
+                campaign.measure({"backprop", 8, "backprop(par)"}, op,
+                                 seed)
+                    .run;
+            const RunResult logged =
+                campaign.measure({"backprop", 8, "backprop(par)"}, op,
+                                 seed, &log)
+                    .run;
+            EXPECT_EQ(bits(logged.werSeries), bits(bare.werSeries));
+            EXPECT_EQ(bits(logged.cePerDevice), bits(bare.cePerDevice));
+            EXPECT_EQ(bits(logged.wordsPerDevice),
+                      bits(bare.wordsPerDevice));
+            EXPECT_EQ(logged.crashed, bare.crashed);
+            EXPECT_EQ(logged.crashEpoch, bare.crashEpoch);
+            EXPECT_EQ(logged.crashDevice, bare.crashDevice);
+            EXPECT_EQ(bits({logged.expectedSdc, logged.allocatedWords}),
+                      bits({bare.expectedSdc, bare.allocatedWords}));
+            EXPECT_GT(log.records().size(), 0u);
+            crashes += bare.crashed;
+        }
+    }
+    // The comparison covers runs a UE ends early, not only survivors.
+    EXPECT_GT(crashes, 0);
 }
 
 } // namespace

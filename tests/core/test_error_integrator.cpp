@@ -205,9 +205,9 @@ TEST(Integrator, CrashLogsUeRecord)
 {
     auto &platform = sharedPlatform();
     dram::ErrorLog log(platform.geometry());
-    // Record sampling consumes RNG draws, so a specific seed may or
-    // may not crash; across several repeats at the extreme point a
-    // crash is near certain and must log a UE record when it happens.
+    // A specific seed may or may not crash; across several repeats at
+    // the extreme point a crash is near certain and must log a UE
+    // record when it happens.
     bool crashed = false;
     for (std::uint64_t seed = 0; seed < 8 && !crashed; ++seed) {
         log.clear();
@@ -288,8 +288,10 @@ TEST(Integrator, RunMatchesParentBitForBit)
 {
     // RunResult of srad(par), seed 0, captured before the integrator's
     // per-row work was restructured: the restructuring keeps every
-    // floating-point expression and summation order. Runs with a log
-    // draw extra record-sampling numbers, so they are pinned apart.
+    // floating-point expression and summation order. Record sampling
+    // draws from its own stream, so the same runs with a log attached
+    // must return these results too; only their records are pinned
+    // apart.
     struct Pinned
     {
         bool crashed;
@@ -299,71 +301,57 @@ TEST(Integrator, RunMatchesParentBitForBit)
         std::uint64_t werDigest; ///< bitDigest(werSeries)
         double expectedSdc;
         std::vector<double> cePerDevice;
-        std::size_t records;     ///< logged records (log runs only)
-        std::uint64_t logDigest; ///< logDigest() (log runs only)
+        std::size_t records;     ///< logged records of the log run
+        std::uint64_t logDigest; ///< logDigest() of the log run
     };
-    const Pinned without_log[] = {
+    const Pinned pinned[] = {
         {false, -1, -1, 120, 0x6efd673ec1cce7e9ull, 0x1.9dbae92724102p-28,
          {0x1.434p+11, 0x1.cp+2, 0x1.b7p+11, 0x1.c8p+6, 0x1.a2p+7,
           0x1.b76p+13, 0x1.f9p+8, 0x1.8p+2},
-         0, 0},
+         255, 0xc40d2393b8f91cf6ull},
         {false, -1, -1, 120, 0x7864a046133db0daull, 0x1.57c2f0925c8d3p-20,
          {0x1.20d4p+14, 0x1.2cp+6, 0x1.708p+14, 0x1.118p+10, 0x1.d28p+10,
           0x1.487ap+16, 0x1.f2ep+11, 0x1.84p+6},
-         0, 0},
+         256, 0x2c1990bc93e5bc59ull},
         {false, -1, -1, 120, 0x701845334077d821ull, 0x1.70bf1bee3ed9ap-29,
          {0x1.57ep+11, 0x1.cp+2, 0x1.c82p+11, 0x1.fcp+6, 0x1.d8p+7,
           0x1.b4e8p+13, 0x1.038p+9, 0x1p+3},
-         0, 0},
+         256, 0xbcb49e6e1513a09eull},
         {true, 45, 6, 45, 0xc2c226b6e56bf73full, 0x1.2656359a26b34p-4,
          {0x1.4da0cp+19, 0x1.06d8p+13, 0x1.913dep+19, 0x1.1dd7p+16,
           0x1.c6abp+16, 0x1.085dc8p+21, 0x1.957bp+17, 0x1.636p+13},
-         0, 0},
-    };
-    const Pinned with_log[] = {
-        {false, -1, -1, 120, 0x0a2b28541dc3ae3full, 0x1.9dbae92724102p-28,
-         {0x1.488p+11, 0x1.cp+2, 0x1.ap+11, 0x1.14p+7, 0x1.8ep+7,
-          0x1.b96p+13, 0x1.eap+8, 0x1.8p+2},
-         256, 0x6f4407ab14c1a6fdull},
-        {false, -1, -1, 120, 0xd0fd746f9f4e7afcull, 0x1.57c2f0925c8d3p-20,
-         {0x1.280cp+14, 0x1.dp+5, 0x1.700cp+14, 0x1.0dp+10, 0x1.d94p+10,
-          0x1.4a2ep+16, 0x1.fb4p+11, 0x1.fcp+6},
-         256, 0x83644406085da9aeull},
-        {false, -1, -1, 120, 0x399e6de82b1ca511ull, 0x1.70bf1bee3ed9ap-29,
-         {0x1.6a2p+11, 0x1.8p+2, 0x1.bd4p+11, 0x1.08p+7, 0x1.b6p+7,
-          0x1.b47p+13, 0x1.19p+9, 0x1.4p+3},
-         255, 0xa3c3798992203caaull},
-        {true, 7, 5, 7, 0xd94347bc4983013aull, 0x1.6e492642ad504p-7,
-         {0x1.3b04p+17, 0x1.e9cp+10, 0x1.7947p+17, 0x1.115cp+14,
-          0x1.ab1cp+14, 0x1.f2794p+18, 0x1.7e9ap+15, 0x1.472p+11},
-         57, 0x4ed18d8baaad2778ull},
+         257, 0x33ed7a80aeb3fa6aull},
     };
 
     auto &platform = sharedPlatform();
     const ErrorIntegrator integrator;
-    for (const bool logging : {false, true}) {
-        for (std::size_t i = 0; i < std::size(kPinnedPoints); ++i) {
-            const dram::OperatingPoint &op = kPinnedPoints[i];
-            const Pinned &want = logging ? with_log[i] : without_log[i];
-            SCOPED_TRACE(::testing::Message()
-                         << op.trefp << " s " << op.temperature << " C"
-                         << (logging ? " with log" : ""));
-            dram::ErrorLog log(platform.geometry());
-            const RunResult r = integrator.run(
-                sradPar(), op, platform.geometry(), platform.devices(), 0,
-                logging ? &log : nullptr);
-            EXPECT_EQ(r.crashed, want.crashed);
-            EXPECT_EQ(r.crashEpoch, want.crashEpoch);
-            EXPECT_EQ(r.crashDevice, want.crashDevice);
-            EXPECT_EQ(r.werSeries.size(), want.epochs);
-            EXPECT_EQ(bitDigest(r.werSeries), want.werDigest);
-            EXPECT_EQ(r.expectedSdc, want.expectedSdc);
-            EXPECT_EQ(r.cePerDevice, want.cePerDevice);
-            if (logging) {
-                EXPECT_EQ(log.records().size(), want.records);
-                EXPECT_EQ(logDigest(log), want.logDigest);
-            }
-        }
+    for (std::size_t i = 0; i < std::size(kPinnedPoints); ++i) {
+        const dram::OperatingPoint &op = kPinnedPoints[i];
+        const Pinned &want = pinned[i];
+        SCOPED_TRACE(::testing::Message()
+                     << op.trefp << " s " << op.temperature << " C");
+        const RunResult r = integrator.run(
+            sradPar(), op, platform.geometry(), platform.devices(), 0);
+        EXPECT_EQ(r.crashed, want.crashed);
+        EXPECT_EQ(r.crashEpoch, want.crashEpoch);
+        EXPECT_EQ(r.crashDevice, want.crashDevice);
+        EXPECT_EQ(r.werSeries.size(), want.epochs);
+        EXPECT_EQ(bitDigest(r.werSeries), want.werDigest);
+        EXPECT_EQ(r.expectedSdc, want.expectedSdc);
+        EXPECT_EQ(r.cePerDevice, want.cePerDevice);
+
+        dram::ErrorLog log(platform.geometry());
+        const RunResult logged =
+            integrator.run(sradPar(), op, platform.geometry(),
+                           platform.devices(), 0, &log);
+        EXPECT_EQ(logged.crashed, r.crashed);
+        EXPECT_EQ(logged.crashEpoch, r.crashEpoch);
+        EXPECT_EQ(logged.crashDevice, r.crashDevice);
+        EXPECT_EQ(bitDigest(logged.werSeries), bitDigest(r.werSeries));
+        EXPECT_EQ(logged.expectedSdc, r.expectedSdc);
+        EXPECT_EQ(logged.cePerDevice, r.cePerDevice);
+        EXPECT_EQ(log.records().size(), want.records);
+        EXPECT_EQ(logDigest(log), want.logDigest);
     }
 }
 

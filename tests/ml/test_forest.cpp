@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 
 #include "common/rng.hh"
 #include "ml/forest.hh"
@@ -154,6 +157,78 @@ TEST(Forest, PredictManyEmptyBatch)
     std::vector<double> out{99.0};
     rf.predictMany(Matrix{}, out);
     EXPECT_TRUE(out.empty());
+}
+
+/**
+ * LOBO-shaped, tie-heavy training set: 13 benchmarks x 10 operating
+ * points. Two operating-parameter columns repeat five TREFP and two
+ * temperature levels; the @p features workload columns are constant
+ * within a benchmark, half of them quantized to four levels, and every
+ * fifth one duplicates its neighbour. Most candidate sorts therefore
+ * see long runs of tied keys, at nodes of well over 16 rows.
+ */
+void
+tieHeavyFixture(std::size_t features, Matrix &x, std::vector<double> &y)
+{
+    const double trefp[] = {1.173, 1.45, 1.727, 2.005, 2.283};
+    Rng rng(11);
+    x.clear();
+    y.clear();
+    for (int g = 0; g < 13; ++g) {
+        std::vector<double> workload(features);
+        for (std::size_t f = 0; f < features; ++f) {
+            if (f % 5 == 4)
+                workload[f] = workload[f - 1];
+            else if (f % 2 == 0)
+                workload[f] = std::floor(rng.uniform() * 4.0) / 4.0;
+            else
+                workload[f] = rng.uniform();
+        }
+        const double effect = 1.0 + 3.0 * workload[0] + workload[1];
+        for (int r = 0; r < 10; ++r) {
+            std::vector<double> row{trefp[r % 5], r < 5 ? 50.0 : 60.0};
+            row.insert(row.end(), workload.begin(), workload.end());
+            x.push_back(std::move(row));
+            y.push_back(effect * trefp[r % 5] * (r < 5 ? 1.0 : 1.5) +
+                        0.05 * rng.uniform());
+        }
+    }
+}
+
+TEST(Forest, FitMatchesPinnedDigest)
+{
+    // A default 100-tree fit on tied keys, pinned bit for bit: the
+    // split search may change its data layout, but not the order in
+    // which it visits tied rows, so every threshold, leaf value and
+    // prediction must stay the same at any pool size.
+    Matrix x;
+    std::vector<double> y;
+    tieHeavyFixture(48, x, y);
+    RandomForestRegressor rf;
+    rf.fit(x, y);
+
+    Matrix queries = x;
+    Rng rng(12);
+    for (int i = 0; i < 5; ++i) {
+        std::vector<double> probe;
+        for (std::size_t f = 0; f < x[0].size(); ++f)
+            probe.push_back(rng.uniform() * 2.5);
+        queries.push_back(std::move(probe));
+    }
+    std::vector<double> out;
+    rf.predictMany(queries, out);
+
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const double v : out) {
+        unsigned char bytes[sizeof v];
+        std::memcpy(bytes, &v, sizeof v);
+        for (const unsigned char b : bytes)
+            h = (h ^ b) * 0x100000001b3ull;
+    }
+    char hex[19];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(h));
+    EXPECT_STREQ(hex, "0x99f26ef94a7bffbc");
 }
 
 TEST(Forest, Name)
