@@ -14,6 +14,7 @@
 #include "obs/span.hh"
 #include "obs/stats.hh"
 #include "obs/timer.hh"
+#include "par/cancel.hh"
 #include "par/pool.hh"
 
 namespace dfault::core {
@@ -29,23 +30,16 @@ CharacterizationCampaign::CharacterizationCampaign(sys::Platform &platform,
 {
 }
 
-const par::CancelToken &
-CharacterizationCampaign::cancelToken() const
-{
-    return params_.cancelToken.valid() ? params_.cancelToken
-                                       : par::rootCancelToken();
-}
-
 Measurement
 CharacterizationCampaign::measure(const workloads::WorkloadConfig &config,
                                   const dram::OperatingPoint &op,
                                   std::uint64_t run_seed,
                                   dram::ErrorLog *log)
 {
-    // A pool batch checks the token before every attempt; a direct
+    // A pool batch checks the flag before every attempt; a direct
     // call runs outside the pool, so it checks here, before committing
     // to the cell.
-    cancelToken().throwIfCancelled();
+    par::throwIfCancelled();
     return measureCell(platform_, {&config, &op, run_seed}, 0, log);
 }
 
@@ -142,7 +136,7 @@ CharacterizationCampaign::measureCell(sys::Platform &platform,
     // Cooperative cancellation between the settle and the integration.
     // A CancelledError reaches the pool's Cancelled disposition, never
     // the retry/quarantine path.
-    cancelToken().throwIfCancelled();
+    par::throwIfCancelled();
     par::heartbeat();
 
     double integrate_seconds = 0.0;
@@ -249,11 +243,9 @@ CharacterizationCampaign::measureCells(const std::vector<Cell> &cells,
     auto &pool = par::Pool::global();
     replicas_.resize(std::max(replicas_.size(),
                               static_cast<std::size_t>(pool.threads())));
-    const par::CancelToken &token = cancelToken();
     par::ResilienceOptions opts;
     opts.maxRetries = params_.taskRetries;
     opts.failFast = true;
-    opts.token = token;
 
     // Profile every workload before the cell loop. The cache fills
     // exactly once per config either way; doing it up front keeps the
@@ -342,8 +334,8 @@ CharacterizationCampaign::measureCells(const std::vector<Cell> &cells,
             .inc(failures.size() - n_cancelled);
     if (n_cancelled > 0)
         DFAULT_INFORM("sweep: ", n_cancelled, " cell(s) cancelled (",
-                      token.cancelled() ? token.reason()
-                                        : std::string("task token"),
+                      par::cancelled() ? par::cancelReason()
+                                       : std::string("by a task"),
                       ")",
                       journaling ? "; rerun with the same checkpoint dir"
                                    " to finish them"

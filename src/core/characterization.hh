@@ -17,7 +17,6 @@
 
 #include "core/error_integrator.hh"
 #include "features/extractor.hh"
-#include "par/cancel.hh"
 #include "sys/platform.hh"
 #include "workloads/registry.hh"
 
@@ -68,10 +67,6 @@ class CharacterizationCampaign
         /** Non-empty: journal completed sweep cells here and resume
          *  from any found on the next run (see core/checkpoint.hh). */
         std::string checkpointDir;
-        /** Cooperative cancellation source for sweeps and cells; an
-         *  invalid (default) token falls back to rootCancelToken(), so
-         *  signal-driven shutdown reaches every campaign unasked. */
-        par::CancelToken cancelToken;
     };
 
     /** One sweep cell that failed all its attempts. */
@@ -118,7 +113,7 @@ class CharacterizationCampaign
      * are journaled and a re-run resumes from them (file comment of
      * core/checkpoint.hh).
      *
-     * Cancellation (params_.cancelToken or the root token) drains the
+     * Cancellation (par::cancel(), e.g. from a signal) drains the
      * sweep gracefully: in-flight cells finish or stop at their next
      * heartbeat, queued cells come back with Measurement.cancelled set
      * (distinct from quarantined — not journaled, not reported), and
@@ -175,9 +170,6 @@ class CharacterizationCampaign
      *  @p attempt keys the fault schedule only, never the result. */
     Measurement measureCell(sys::Platform &platform, const Cell &cell,
                             int attempt, dram::ErrorLog *log);
-
-    /** params_.cancelToken, or the root token when it is invalid. */
-    const par::CancelToken &cancelToken() const;
 
     /** The calling slot's platform: the campaign's own on the
      *  submitting thread, a lazily-built replica on pool workers. */

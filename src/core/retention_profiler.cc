@@ -67,7 +67,7 @@ RetentionProfiler::profileDevice(int device_index)
     for (const Seconds trefp : params_.levels) {
         // Each level is a full row-space analysis; honour shutdown/
         // deadline cancellation at level boundaries.
-        par::rootCancelToken().throwIfCancelled();
+        par::throwIfCancelled();
         const auto rows = rowsUnder(micro, trefp, device_index);
         touched_rows = std::max<std::uint64_t>(touched_rows,
                                                rows.size());
@@ -87,7 +87,7 @@ RetentionProfiler::compare(const DeviceRetentionProfile &profile,
                            const workloads::WorkloadConfig &config,
                            Seconds trefp, int device_index)
 {
-    par::rootCancelToken().throwIfCancelled();
+    par::throwIfCancelled();
     ProfileMismatch mismatch;
     mismatch.flaggedRows = 0;
     for (const auto &[row, level] : profile.firstFailingTrefp)

@@ -217,9 +217,9 @@ RunSession::~RunSession()
         info.statsPath = stats_out;
         info.tracePath = trace_events;
         info.wallSeconds = wall;
-        if (par::rootCancelToken().cancelled()) {
+        if (par::cancelled()) {
             info.interrupted = true;
-            info.interruptReason = par::rootCancelToken().reason();
+            info.interruptReason = par::cancelReason();
         }
         info.resumedFromTick = resumedFromTick_;
         if (!obs::writeManifestFile(manifest_path, info))

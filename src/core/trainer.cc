@@ -9,6 +9,7 @@
 #include "obs/span.hh"
 #include "obs/stats.hh"
 #include "obs/timer.hh"
+#include "par/cancel.hh"
 #include "par/pool.hh"
 #include "ml/forest.hh"
 #include "ml/knn.hh"
@@ -95,7 +96,7 @@ evaluateModel(const ml::Dataset &data, ModelKind kind, bool log_target)
         folds.size(), [&](std::size_t f) {
             // A fold is minutes of fitting at full scale: honour
             // shutdown/deadline cancellation before starting one.
-            par::rootCancelToken().throwIfCancelled();
+            par::throwIfCancelled();
             const ml::Fold &fold = folds[f];
             const obs::ScopedTimer fold_timer("fold");
             // Name the fold in the trace by its held-out benchmark.

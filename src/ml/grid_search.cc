@@ -8,6 +8,7 @@
 #include "ml/scaler.hh"
 #include "obs/span.hh"
 #include "obs/timer.hh"
+#include "par/cancel.hh"
 #include "par/pool.hh"
 
 namespace dfault::ml {
@@ -36,7 +37,7 @@ gridSearch(const Dataset &data, const std::vector<GridCandidate> &grid)
     const auto cells = par::Pool::global().parallelMap<Cell>(
         grid.size() * n_folds, [&](std::size_t i) {
             // Honour shutdown/deadline cancellation between fits.
-            par::rootCancelToken().throwIfCancelled();
+            par::throwIfCancelled();
             const auto &candidate = grid[i / n_folds];
             const Fold &fold = folds[i % n_folds];
             // Name the cell in the trace by candidate and held-out

@@ -2,143 +2,50 @@
 
 #include <atomic>
 #include <mutex>
-#include <utility>
-#include <vector>
-
-#include "common/logging.hh"
 
 namespace dfault::par {
-
-CancelledError::CancelledError(std::string reason, std::string origin)
-    : std::runtime_error("cancelled (" + origin + "): " + reason),
-      reason_(std::move(reason)), origin_(std::move(origin))
-{
-}
-
-struct CancelToken::State
-{
-    std::atomic<bool> cancelled{false};
-    std::mutex mutex;
-    // All below guarded by mutex.
-    std::string reason;
-    std::string origin;
-    std::vector<std::weak_ptr<State>> children;
-
-    void cancel(const std::string &why, const std::string &who)
-    {
-        std::vector<std::shared_ptr<State>> live;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            // First cancel wins; a child cancelled directly and then
-            // again via its parent keeps the direct reason.
-            if (!cancelled.load(std::memory_order_relaxed)) {
-                reason = why;
-                origin = who;
-                cancelled.store(true, std::memory_order_release);
-            }
-            for (const auto &weak : children)
-                if (auto child = weak.lock())
-                    live.push_back(std::move(child));
-            children.clear();
-        }
-        // Propagate outside the lock: child registration locks
-        // parent-then-child, so descending with the parent lock held
-        // could deadlock against a concurrent grandchild derivation.
-        for (const auto &child : live)
-            child->cancel(why, who);
-    }
-};
-
-CancelToken
-CancelToken::make()
-{
-    return CancelToken(std::make_shared<State>());
-}
+namespace {
+std::atomic<bool> g_cancelled{false};
+std::mutex g_mutex; // guards both strings and every flag store
+std::string g_reason, g_origin; // of the first cancel since the reset
+} // namespace
 
 bool
-CancelToken::cancelled() const
+cancelled()
 {
-    return state_ != nullptr
-           && state_->cancelled.load(std::memory_order_relaxed);
+    return g_cancelled.load(std::memory_order_relaxed);
 }
 
 void
-CancelToken::cancel(const std::string &reason, const std::string &origin)
+cancel(const std::string &reason, const std::string &origin)
 {
-    DFAULT_ASSERT(state_ != nullptr,
-                  "cancel() on an invalid CancelToken");
-    state_->cancel(reason, origin);
-}
-
-void
-CancelToken::throwIfCancelled() const
-{
-    if (state_ == nullptr
-        || !state_->cancelled.load(std::memory_order_acquire))
-        return;
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    throw CancelledError(state_->reason, state_->origin);
-}
-
-CancelToken
-CancelToken::child() const
-{
-    DFAULT_ASSERT(state_ != nullptr,
-                  "child() on an invalid CancelToken");
-    auto child = std::make_shared<State>();
-    bool parent_cancelled = false;
-    std::string reason;
-    std::string origin;
-    {
-        std::lock_guard<std::mutex> lock(state_->mutex);
-        if (state_->cancelled.load(std::memory_order_relaxed)) {
-            parent_cancelled = true;
-            reason = state_->reason;
-            origin = state_->origin;
-        } else {
-            // Compact dead siblings so a long-lived root does not
-            // accumulate one weak_ptr per derived-and-discarded child.
-            auto &kids = state_->children;
-            std::erase_if(kids, [](const std::weak_ptr<State> &w) {
-                return w.expired();
-            });
-            kids.push_back(child);
-        }
-    }
-    if (parent_cancelled)
-        child->cancel(reason, origin);
-    return CancelToken(std::move(child));
+    std::lock_guard<std::mutex> lock(g_mutex);
+    if (g_cancelled.load(std::memory_order_relaxed))
+        return; // the first cancel wins
+    g_reason = reason;
+    g_origin = origin;
+    g_cancelled.store(true, std::memory_order_relaxed);
 }
 
 std::string
-CancelToken::reason() const
+cancelReason()
 {
-    if (state_ == nullptr)
-        return "";
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->reason;
+    std::lock_guard<std::mutex> lock(g_mutex);
+    return cancelled() ? g_reason : "";
 }
 
 std::string
-CancelToken::origin() const
+cancelOrigin()
 {
-    if (state_ == nullptr)
-        return "";
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->origin;
-}
-
-CancelToken &
-rootCancelToken()
-{
-    static CancelToken root = CancelToken::make();
-    return root;
+    std::lock_guard<std::mutex> lock(g_mutex);
+    return cancelled() ? g_origin : "";
 }
 
 void
-resetRootCancelToken()
+resetCancellation()
 {
-    rootCancelToken() = CancelToken::make();
+    std::lock_guard<std::mutex> lock(g_mutex);
+    g_cancelled.store(false, std::memory_order_relaxed);
 }
 
 } // namespace dfault::par

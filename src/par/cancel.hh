@@ -1,47 +1,16 @@
 /**
  * @file
- * Hierarchical cooperative cancellation tokens.
- *
- * A CancelToken is a small shared handle that long-running work polls
- * to learn it should stop. Cancellation is *cooperative*: nothing is
- * interrupted preemptively — the pool checks the token before each
- * task index, campaign cells check it at phase boundaries, and a
- * cancelled check raises CancelledError, which the pool reports as a
- * distinct "cancelled" disposition (never "failed" or "quarantined").
- *
- * Tokens form a tree: child() derives a token that is cancelled
- * whenever its parent is (the reverse is not true), so a driver can
- * hand each campaign a child of the process root and cancel one sweep
- * without touching the others, while a SIGTERM cancels the root and
- * reaches everything.
- *
- *     rootCancelToken()            <- cancelled by signals / deadline
- *       |- campaign sweep token    <- Params::cancelToken
- *       |    `- (pool batches)     <- ResilienceOptions::token
- *       `- trainer / grid batches  <- default to the root
- *
- * The polling fast path is one relaxed atomic load of the token's own
- * flag (mirroring fi::Injector's unarmed check discipline): cancel()
- * pushes the flag down the registered children eagerly, so checks
- * never walk the parent chain.
- *
- * cancel() itself takes a mutex (reason/origin strings, child walk)
- * and is therefore NOT async-signal-safe; signal handlers must use the
- * self-pipe pattern in par/shutdown.hh and leave the actual cancel to
- * the monitor thread.
- *
- * Determinism: a cancelled-then-resumed sweep reaches the same stats
- * digest as an uninterrupted one because cancelled cells publish
- * nothing (their deferred stat ops are dropped) and are never
- * journaled — resume re-measures them from scratch.
+ * Process-wide cooperative cancellation: one flag stops the run. Signals
+ * (par/shutdown.hh) and the watchdog deadline set it; the pool and long
+ * loops poll it (docs/robustness.md, "Cancellation").
  */
 
 #ifndef DFAULT_PAR_CANCEL_HH
 #define DFAULT_PAR_CANCEL_HH
 
-#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dfault::par {
 
@@ -49,12 +18,14 @@ namespace dfault::par {
 class CancelledError : public std::runtime_error
 {
   public:
-    CancelledError(std::string reason, std::string origin);
-
-    /** Why the token was cancelled ("received SIGTERM", ...). */
+    CancelledError(std::string reason, std::string origin)
+        : std::runtime_error("cancelled (" + origin + "): " + reason),
+          reason_(std::move(reason)), origin_(std::move(origin))
+    {
+    }
+    /** Why the run was cancelled ("received SIGTERM", ...). */
     const std::string &reason() const { return reason_; }
-
-    /** Who cancelled it ("signal", "watchdog", "user", ...). */
+    /** Who cancelled it ("signal", "deadline", "user", ...). */
     const std::string &origin() const { return origin_; }
 
   private:
@@ -62,72 +33,26 @@ class CancelledError : public std::runtime_error
     std::string origin_;
 };
 
-/** See file comment. */
-class CancelToken
+/** True once the run was cancelled: one relaxed atomic load. */
+bool cancelled();
+
+/** Cancel the run; the first call wins. Not async-signal-safe. */
+void cancel(const std::string &reason, const std::string &origin);
+
+/** Reason and origin of the winning cancel ("" while not cancelled). */
+std::string cancelReason();
+std::string cancelOrigin();
+
+/** Throw CancelledError(cancelReason(), cancelOrigin()) if cancelled. */
+inline void
+throwIfCancelled()
 {
-  public:
-    /** An *invalid* token: never cancelled, child() fatals. Callers
-     *  that receive one fall back to rootCancelToken(). */
-    CancelToken() = default;
+    if (cancelled())
+        throw CancelledError(cancelReason(), cancelOrigin());
+}
 
-    /** A fresh, independent (parentless) token. */
-    static CancelToken make();
-
-    /** True when this handle refers to a real token. */
-    bool valid() const { return state_ != nullptr; }
-
-    /**
-     * True once this token (or any ancestor) was cancelled. One
-     * relaxed atomic load; false for an invalid token.
-     */
-    bool cancelled() const;
-
-    /**
-     * Cancel this token and every descendant. The first cancel wins:
-     * later calls are no-ops and do not overwrite reason/origin.
-     * Thread-safe, but not async-signal-safe (see file comment).
-     */
-    void cancel(const std::string &reason, const std::string &origin);
-
-    /** Throw CancelledError when cancelled(); no-op otherwise. */
-    void throwIfCancelled() const;
-
-    /**
-     * Derive a child token: cancelled whenever this token is (already
-     * cancelled parents yield already-cancelled children), while
-     * cancelling the child leaves this token untouched.
-     */
-    CancelToken child() const;
-
-    /** Reason of the winning cancel ("" while not cancelled). */
-    std::string reason() const;
-
-    /** Origin of the winning cancel ("" while not cancelled). */
-    std::string origin() const;
-
-  private:
-    struct State;
-    explicit CancelToken(std::shared_ptr<State> state)
-        : state_(std::move(state))
-    {
-    }
-
-    std::shared_ptr<State> state_;
-};
-
-/**
- * The process-wide root token. Signal handlers (via the shutdown
- * monitor), deadlines and drivers cancel it; every pool batch without
- * an explicit token polls it.
- */
-CancelToken &rootCancelToken();
-
-/**
- * Replace the root with a fresh, uncancelled token. For test fixtures
- * and long-lived drivers that survive a cancelled run; must not be
- * called while work is in flight.
- */
-void resetRootCancelToken();
+/** Uncancel, for test fixtures and drivers; never with work in flight. */
+void resetCancellation();
 
 } // namespace dfault::par
 

@@ -239,8 +239,6 @@ struct Batch
      *  submitter's across the dispatch boundary. */
     obs::PhaseContext context;
     int maxRetries = 0;
-    /** Resolved cancellation source (opts.token or the root). */
-    CancelToken token;
     std::atomic<std::size_t> remaining{0};
     std::atomic<std::uint64_t> taskNanos{0};
     std::mutex mutex;
@@ -303,15 +301,14 @@ runIndex(Batch &batch, std::size_t i)
             board->beatNs.store(0, std::memory_order_relaxed);
     };
     for (int attempt = 0;; ++attempt) {
-        // One relaxed load on the fast path; once the token fires,
-        // not-yet-started indices and would-be retries drain instantly
-        // with the Cancelled disposition.
-        if (batch.token.cancelled()) {
+        // One relaxed load on the fast path; once the run is
+        // cancelled, not-yet-started indices and would-be retries
+        // drain instantly with the Cancelled disposition.
+        if (cancelled()) {
             std::lock_guard<std::mutex> lock(batch.mutex);
             batch.failures.push_back(
                 {i, attempt,
-                 "cancelled (" + batch.token.origin() +
-                     "): " + batch.token.reason(),
+                 "cancelled (" + cancelOrigin() + "): " + cancelReason(),
                  TaskDisposition::Cancelled});
             return;
         }
@@ -332,7 +329,7 @@ runIndex(Batch &batch, std::size_t i)
             deactivate();
             return;
         } catch (const CancelledError &e) {
-            // The body observed a token mid-run: same disposition as a
+            // The body observed a cancel mid-run: same disposition as a
             // never-started index, and never retried.
             deactivate();
             std::lock_guard<std::mutex> lock(batch.mutex);
@@ -389,9 +386,7 @@ finishBatch(Batch &batch, const ResilienceOptions &opts)
             .inc(n_cancelled);
     if (opts.failFast) {
         if (n_failed == 0) {
-            if (batch.token.cancelled())
-                throw CancelledError(batch.token.reason(),
-                                     batch.token.origin());
+            throwIfCancelled();
             throw CancelledError("task cancelled", "task");
         }
         throw BatchError(std::move(failures));
@@ -492,7 +487,6 @@ Pool::parallelForResilient(std::size_t n,
     Batch batch;
     batch.body = &body;
     batch.maxRetries = opts.maxRetries;
-    batch.token = opts.token.valid() ? opts.token : rootCancelToken();
 
     // Nested calls (already on a pool slot) run inline and publish
     // nothing: they are part of the enclosing task, and this makes
@@ -716,8 +710,7 @@ void
 Pool::enableWatchdog(const WatchdogOptions &opts)
 {
     disableWatchdog();
-    if (opts.taskTimeoutSeconds < 0.0 || opts.deadlineSeconds < 0.0 ||
-        opts.pollSeconds < 0.0)
+    if (opts.taskTimeoutSeconds < 0.0 || opts.deadlineSeconds < 0.0)
         DFAULT_FATAL("watchdog durations must be >= 0");
     if (opts.taskTimeoutSeconds == 0.0 && opts.deadlineSeconds == 0.0)
         return; // nothing to watch
@@ -749,14 +742,11 @@ Pool::watchdogLoop()
         std::lock_guard<std::mutex> lock(watchdogMutex_);
         opts = watchdogOpts_;
     }
-    double poll = opts.pollSeconds;
-    if (poll <= 0.0) {
-        double base = opts.taskTimeoutSeconds;
-        if (opts.deadlineSeconds > 0.0)
-            base = base > 0.0 ? std::min(base, opts.deadlineSeconds)
-                              : opts.deadlineSeconds;
-        poll = std::clamp(base / 4.0, 0.01, 1.0);
-    }
+    double base = opts.taskTimeoutSeconds;
+    if (opts.deadlineSeconds > 0.0)
+        base = base > 0.0 ? std::min(base, opts.deadlineSeconds)
+                          : opts.deadlineSeconds;
+    const double poll = std::clamp(base / 4.0, 0.01, 1.0);
     const std::uint64_t started = steadyNanos();
     const auto timeout_ns = static_cast<std::uint64_t>(
         opts.taskTimeoutSeconds * 1e9);
@@ -779,13 +769,9 @@ Pool::watchdogLoop()
 
         if (deadline_ns > 0 && !deadline_fired && now - started >= deadline_ns) {
             deadline_fired = true;
-            CancelToken token = opts.deadlineToken.valid()
-                                    ? opts.deadlineToken
-                                    : rootCancelToken();
-            token.cancel("run deadline of " +
-                             std::to_string(opts.deadlineSeconds) +
-                             " s exceeded",
-                         "deadline");
+            cancel("run deadline of " +
+                       std::to_string(opts.deadlineSeconds) + " s exceeded",
+                   "deadline");
             reg.counter("par.deadline_cancels",
                         "runs cancelled by the watchdog deadline")
                 .inc();

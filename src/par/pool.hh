@@ -65,7 +65,7 @@ namespace dfault::par {
 enum class TaskDisposition
 {
     Failed,   ///< exhausted its retry budget on real errors
-    Cancelled ///< skipped (or stopped) because a CancelToken fired
+    Cancelled ///< skipped (or stopped) because the run was cancelled
 };
 
 /** One task of a batch that produced no result. */
@@ -129,15 +129,6 @@ struct ResilienceOptions
      * the caller degrade gracefully.
      */
     bool failFast = true;
-
-    /**
-     * Cooperative cancellation source for this batch. Checked with one
-     * relaxed load before every index; an invalid (default) token
-     * falls back to rootCancelToken(). Once cancelled, not-yet-started
-     * indices are skipped with the Cancelled disposition and a body
-     * that throws CancelledError is recorded the same way (no retry).
-     */
-    CancelToken token{};
 };
 
 /**
@@ -158,15 +149,8 @@ struct WatchdogOptions
     double taskTimeoutSeconds = 0.0;
 
     /** Whole-run budget from enableWatchdog(); on expiry the watchdog
-     *  cancels deadlineToken (origin "deadline") exactly once. */
+     *  calls par::cancel() (origin "deadline") exactly once. */
     double deadlineSeconds = 0.0;
-
-    /** Poll cadence; 0 derives min(taskTimeout, deadline)/4, clamped
-     *  to [10 ms, 1 s]. */
-    double pollSeconds = 0.0;
-
-    /** Token the deadline cancels; invalid = rootCancelToken(). */
-    CancelToken deadlineToken;
 };
 
 /**
@@ -231,7 +215,10 @@ class Pool
      * drained batch throws BatchError; otherwise the quarantined
      * tasks are returned, sorted by index, and the caller decides
      * what a missing slot means. Either way sibling tasks always run
-     * to completion.
+     * to completion. Once par::cancelled(), not-yet-started indices
+     * and would-be retries are skipped with the Cancelled disposition;
+     * a body that throws CancelledError is recorded the same way and
+     * is never retried.
      */
     std::vector<TaskFailure>
     parallelForResilient(std::size_t n,
@@ -255,9 +242,11 @@ class Pool
     }
 
     /**
-     * Start (or retune) the watchdog thread. It samples every slot's
-     * heartbeat board each poll tick, dumps a diagnostic for stalled
-     * tasks, and enforces the run deadline (see WatchdogOptions).
+     * Start (or retune) the watchdog thread. Every poll tick (a
+     * quarter of the shorter of task timeout and deadline, clamped to
+     * [10 ms, 1 s]) it samples every slot's heartbeat board, dumps a
+     * diagnostic for stalled tasks, and enforces the run deadline
+     * (see WatchdogOptions).
      * Watchdog state is advisory telemetry: it never appears in the
      * stats digest (par.* is excluded).
      */

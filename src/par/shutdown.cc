@@ -58,7 +58,7 @@ shutdownHandler(int sig)
 
 /**
  * Blocks on the self-pipe; wakes on the first signal (byte 1, cancel
- * the root token) or on uninstall (byte 0, just exit).
+ * the run) or on uninstall (byte 0, just exit).
  */
 void
 monitorLoop()
@@ -73,9 +73,8 @@ monitorLoop()
     if (byte != 1)
         return;
     const int sig = g_signal.load(std::memory_order_acquire);
-    rootCancelToken().cancel(sig == SIGINT ? "received SIGINT"
-                                           : "received SIGTERM",
-                             "signal");
+    cancel(sig == SIGINT ? "received SIGINT" : "received SIGTERM",
+           "signal");
 }
 
 } // namespace
@@ -109,7 +108,7 @@ installSignalHandlers()
     sa.sa_handler = shutdownHandler;
     sigemptyset(&sa.sa_mask);
     // No SA_RESTART: blocking syscalls in the drain path should see
-    // EINTR and re-check the root token instead of blocking on.
+    // EINTR and re-check par::cancelled() instead of blocking on.
     ::sigaction(SIGINT, &sa, &g_old_int);
     ::sigaction(SIGTERM, &sa, &g_old_term);
     g_installed = true;
@@ -133,18 +132,6 @@ uninstallSignalHandlers()
     ::close(g_pipe[1]);
     g_pipe[0] = g_pipe[1] = -1;
     g_installed = false;
-}
-
-bool
-shutdownRequested()
-{
-    return g_signal.load(std::memory_order_acquire) != 0;
-}
-
-int
-shutdownSignal()
-{
-    return g_signal.load(std::memory_order_acquire);
 }
 
 int

@@ -8,14 +8,14 @@
  *   first SIGINT/SIGTERM   record the signal in a lock-free atomic,
  *                          rawWrite() a preformatted notice to stderr,
  *                          poke one byte into a private pipe; a monitor
- *                          thread blocked on the read end then cancels
- *                          rootCancelToken() (which takes locks, so the
+ *                          thread blocked on the read end then calls
+ *                          par::cancel() (which takes a lock, so the
  *                          handler itself must never do it)
  *   second signal          _Exit(128 + sig) immediately — no draining,
  *                          no atexit, for when the drain itself wedges
  *
- * After the root token is cancelled, in-flight pool tasks finish (or
- * observe the token and stop), queued tasks are skipped with the
+ * After the cancel, in-flight pool tasks finish (or observe
+ * par::cancelled() and stop), queued tasks are skipped with the
  * "cancelled" disposition, and the driver falls through to its normal
  * artifact epilogue, marking the manifest "interrupted": true and
  * exiting 128 + sig (130 for SIGINT, 143 for SIGTERM). The handler
@@ -39,12 +39,6 @@ void installSignalHandlers();
  * thread. Pending shutdown state (signal number) is preserved.
  */
 void uninstallSignalHandlers();
-
-/** True once a shutdown signal was received. */
-bool shutdownRequested();
-
-/** The first shutdown signal received, or 0. */
-int shutdownSignal();
 
 /** Conventional exit code for the received signal (128+sig), or 0. */
 int shutdownExitCode();

@@ -11,6 +11,7 @@
 #include "fi/injector.hh"
 #include "obs/deferral.hh"
 #include "obs/events.hh"
+#include "par/cancel.hh"
 #include "par/pool.hh"
 #include "serve/journal.hh"
 
@@ -323,12 +324,6 @@ PredictionService::journalCommitLocked()
     // durable tick and re-executes this one deterministically.
 }
 
-par::CancelToken
-PredictionService::effectiveToken() const
-{
-    return params_.token.valid() ? params_.token : par::rootCancelToken();
-}
-
 std::size_t
 PredictionService::queueDepthLocked() const
 {
@@ -513,9 +508,8 @@ PredictionService::submit(Request request)
     const std::uint64_t id = p.id;
     ++submitted_;
 
-    const par::CancelToken token = effectiveToken();
-    if (token.cancelled()) {
-        const std::string reason = token.reason();
+    if (par::cancelled()) {
+        const std::string reason = par::cancelReason();
         shedLocked(std::move(p), reason.empty()
                                      ? std::string("cancelled")
                                      : "cancelled: " + reason);
@@ -564,7 +558,6 @@ PredictionService::submit(Request request)
 std::size_t
 PredictionService::tick()
 {
-    const par::CancelToken token = effectiveToken();
     std::size_t resolved = 0;
     std::vector<Pending> batch;
 
@@ -573,11 +566,11 @@ PredictionService::tick()
         ++tick_;
         ++ticksTotal_;
 
-        if (token.cancelled()) {
+        if (par::cancelled()) {
             // A cancelled service still honors the disposition
             // contract: every queued request is shed with the cancel
             // reason, never silently dropped.
-            const std::string reason = token.reason();
+            const std::string reason = par::cancelReason();
             const std::string text = reason.empty()
                                          ? std::string("cancelled")
                                          : "cancelled: " + reason;
@@ -666,7 +659,6 @@ PredictionService::tick()
         par::ResilienceOptions opts;
         opts.maxRetries = params_.maxRetries;
         opts.failFast = false;
-        opts.token = token;
         const auto failures = par::Pool::global().parallelForResilient(
             batch.size(),
             [&](std::size_t i, int attempt) {

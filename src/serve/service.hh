@@ -69,7 +69,6 @@
 #include "ml/regressor.hh"
 #include "obs/deferral.hh"
 #include "obs/stats.hh"
-#include "par/cancel.hh"
 
 namespace dfault::serve {
 
@@ -190,9 +189,6 @@ struct Params
 
     BreakerParams breaker;
 
-    /** Cancellation source; invalid falls back to rootCancelToken(). */
-    par::CancelToken token;
-
     /** Stats destination; nullptr selects Registry::instance(). */
     obs::Registry *registry = nullptr;
 
@@ -244,7 +240,7 @@ class PredictionService
      * Submit one request. Thread-safe. Admission control runs here:
      * the request is either queued, or immediately shed (queue full
      * with nothing less important to evict, injected serve.reject, or
-     * cancelled token) — in which case its Shed response is already
+     * cancelled run) — in which case its Shed response is already
      * waiting in takeResponses(). Returns the submission id.
      */
     std::uint64_t submit(Request request);
@@ -262,7 +258,7 @@ class PredictionService
 
     /**
      * tick() until the queue is empty (or @p maxTicks elapse, or the
-     * cancel token fires — a cancelled tick sheds every queued
+     * run is cancelled — a cancelled tick sheds every queued
      * request, so the queue still empties). Returns ticks run.
      */
     std::size_t drain(std::size_t maxTicks = 1000000);
@@ -315,7 +311,6 @@ class PredictionService
     void onPrimaryFailureLocked(int shard);
     void recordOutcomeLocked(Breaker &b, bool failure);
     std::size_t queueDepthLocked() const;
-    par::CancelToken effectiveToken() const;
     void journalCommitLocked();
     void restoreFromJournal();
 

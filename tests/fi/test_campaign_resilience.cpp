@@ -84,7 +84,7 @@ struct CampaignResilienceTest : ::testing::Test
     {
         fi::Injector::instance().disarm();
         par::Pool::global().disableWatchdog();
-        par::resetRootCancelToken();
+        par::resetCancellation();
         std::filesystem::remove_all(dir);
     }
 };
@@ -264,10 +264,8 @@ TEST_F(CampaignResilienceTest, CancelledSweepResumesToCleanDigest)
         const std::uint64_t clean_digest = obs::statsDigest();
 
         resetObservability();
-        par::CancelToken token = par::CancelToken::make();
         auto params = smallParams();
         params.checkpointDir = cdir;
-        params.cancelToken = token;
         sys::Platform platform(smallPlatform());
         CharacterizationCampaign interrupted(platform, params);
         // Cancel as soon as a cell lands in the journal, so the
@@ -275,7 +273,7 @@ TEST_F(CampaignResilienceTest, CancelledSweepResumesToCleanDigest)
         // fast box, after the sweep — the digest claim holds either
         // way; which cells drain cancelled may vary, the outcome
         // must not).
-        std::thread canceller([&token, &cdir] {
+        std::thread canceller([&cdir] {
             for (int i = 0; i < 2000; ++i) {
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(2));
@@ -286,12 +284,12 @@ TEST_F(CampaignResilienceTest, CancelledSweepResumesToCleanDigest)
                 for (; it != end; ++it) {
                     const auto name = it->path().filename().string();
                     if (name.starts_with("cell-")) {
-                        token.cancel("test interrupt", "test");
+                        par::cancel("test interrupt", "test");
                         return;
                     }
                 }
             }
-            token.cancel("test interrupt", "test");
+            par::cancel("test interrupt", "test");
         });
         const auto partial = interrupted.sweep(kSuite, kPoints);
         canceller.join();
@@ -306,6 +304,7 @@ TEST_F(CampaignResilienceTest, CancelledSweepResumesToCleanDigest)
 
         // Resume fault-free: journaled cells replay, cancelled cells
         // are re-measured.
+        par::resetCancellation();
         resetObservability();
         auto resume_params = smallParams();
         resume_params.checkpointDir = cdir;

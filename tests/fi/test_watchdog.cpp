@@ -75,7 +75,7 @@ struct WatchdogTest : ::testing::Test
     {
         fi::Injector::instance().disarm();
         par::Pool::global().disableWatchdog();
-        par::resetRootCancelToken();
+        par::resetCancellation();
         std::filesystem::remove_all(dir);
     }
 };
@@ -91,7 +91,6 @@ TEST_F(WatchdogTest, StalledTaskFailsAtItsNextHeartbeat)
     par::Pool pool(2);
     par::WatchdogOptions wd;
     wd.taskTimeoutSeconds = 0.1;
-    wd.pollSeconds = 0.02;
     pool.enableWatchdog(wd);
 
     par::ResilienceOptions opts;
@@ -126,7 +125,6 @@ TEST_F(WatchdogTest, StalledTaskRecoversOnRetry)
     par::Pool pool(1);
     par::WatchdogOptions wd;
     wd.taskTimeoutSeconds = 0.1;
-    wd.pollSeconds = 0.02;
     pool.enableWatchdog(wd);
 
     par::ResilienceOptions opts;
@@ -156,7 +154,6 @@ TEST_F(WatchdogTest, InjectedStallIsQuarantinedAndSweepCompletes)
     fi::Injector::instance().arm("task.stall:ms=1000,count=1");
     par::WatchdogOptions wd;
     wd.taskTimeoutSeconds = 0.25;
-    wd.pollSeconds = 0.05;
     par::Pool::global().enableWatchdog(wd);
 
     sys::Platform platform(smallPlatform());
@@ -184,21 +181,17 @@ TEST_F(WatchdogTest, DeadlineCancelsTheRun)
     par::Pool pool(2);
     par::WatchdogOptions wd;
     wd.deadlineSeconds = 0.05;
-    wd.pollSeconds = 0.01;
-    par::CancelToken token = par::CancelToken::make();
-    wd.deadlineToken = token;
     pool.enableWatchdog(wd);
 
-    // Park until the deadline fires; the token is the only exit.
+    // Park until the deadline fires; the cancel is the only exit.
     par::ResilienceOptions opts;
     opts.failFast = true;
-    opts.token = token;
     try {
         pool.parallelForResilient(
             2,
             [&](std::size_t, int) {
                 while (true) {
-                    token.throwIfCancelled();
+                    par::throwIfCancelled();
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(5));
                 }
@@ -238,7 +231,6 @@ TEST_F(WatchdogTest, WatchdogQuarantineResumesToCleanDigest)
         fi::Injector::instance().arm("task.stall:ms=1000,count=1");
         par::WatchdogOptions wd;
         wd.taskTimeoutSeconds = 0.25;
-        wd.pollSeconds = 0.05;
         par::Pool::global().enableWatchdog(wd);
         auto p = smallParams();
         p.checkpointDir = cdir;

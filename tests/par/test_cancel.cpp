@@ -1,16 +1,20 @@
 /**
  * @file
- * Tests for par::CancelToken — hierarchy, propagation, first-cancel-
- * wins — and for how cancellation flows through parallelForResilient:
- * dispositions, BatchError aggregation when a cancellation races a
- * real task failure, and the all-cancelled CancelledError fast path.
- * Runs at 1, 2 and 8 threads; the 1-thread pool is the serial
- * reference the parallel runs must agree with.
+ * Tests for the process-wide cancellation flag (par/cancel.hh) —
+ * first-cancel-wins, reset, a race of concurrent cancels against
+ * running batches — and for how cancellation flows through
+ * parallelForResilient: dispositions, BatchError aggregation when a
+ * cancellation races a real task failure, and the all-cancelled
+ * CancelledError fast path. Runs at 1, 2, 4 and 8 threads; the
+ * 1-thread pool is the serial reference the parallel runs must agree
+ * with.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -25,44 +29,35 @@ namespace {
 
 struct CancelTest : ::testing::Test
 {
-    void TearDown() override { resetRootCancelToken(); }
+    void TearDown() override { resetCancellation(); }
 };
-
-TEST_F(CancelTest, DefaultTokenIsInvalid)
-{
-    const CancelToken token;
-    EXPECT_FALSE(token.valid());
-    EXPECT_FALSE(token.cancelled());
-    token.throwIfCancelled(); // invalid tokens never fire
-}
 
 TEST_F(CancelTest, CancelSetsReasonAndOrigin)
 {
-    CancelToken token = CancelToken::make();
-    EXPECT_TRUE(token.valid());
-    EXPECT_FALSE(token.cancelled());
+    EXPECT_FALSE(cancelled());
+    EXPECT_EQ(cancelReason(), "");
+    EXPECT_EQ(cancelOrigin(), "");
+    throwIfCancelled(); // no-op while not cancelled
 
-    token.cancel("user pressed ^C", "signal");
-    EXPECT_TRUE(token.cancelled());
-    EXPECT_EQ(token.reason(), "user pressed ^C");
-    EXPECT_EQ(token.origin(), "signal");
+    cancel("user pressed ^C", "signal");
+    EXPECT_TRUE(cancelled());
+    EXPECT_EQ(cancelReason(), "user pressed ^C");
+    EXPECT_EQ(cancelOrigin(), "signal");
 }
 
 TEST_F(CancelTest, FirstCancelWins)
 {
-    CancelToken token = CancelToken::make();
-    token.cancel("first", "a");
-    token.cancel("second", "b");
-    EXPECT_EQ(token.reason(), "first");
-    EXPECT_EQ(token.origin(), "a");
+    cancel("first", "a");
+    cancel("second", "b");
+    EXPECT_EQ(cancelReason(), "first");
+    EXPECT_EQ(cancelOrigin(), "a");
 }
 
 TEST_F(CancelTest, ThrowIfCancelledCarriesReasonAndOrigin)
 {
-    CancelToken token = CancelToken::make();
-    token.cancel("deadline of 2 s exceeded", "deadline");
+    cancel("deadline of 2 s exceeded", "deadline");
     try {
-        token.throwIfCancelled();
+        throwIfCancelled();
         FAIL() << "expected CancelledError";
     } catch (const CancelledError &e) {
         EXPECT_EQ(e.reason(), "deadline of 2 s exceeded");
@@ -72,48 +67,108 @@ TEST_F(CancelTest, ThrowIfCancelledCarriesReasonAndOrigin)
     }
 }
 
-TEST_F(CancelTest, CancelPropagatesToChildrenNotToParent)
+TEST_F(CancelTest, ResetClearsTheCancellation)
 {
-    CancelToken parent = CancelToken::make();
-    CancelToken child = parent.child();
-    CancelToken grandchild = child.child();
-
-    // Child cancel stays local.
-    child.cancel("child stopped", "test");
-    EXPECT_FALSE(parent.cancelled());
-    EXPECT_TRUE(child.cancelled());
-    EXPECT_TRUE(grandchild.cancelled());
-
-    // Parent cancel reaches every uncancelled descendant.
-    CancelToken other = parent.child();
-    parent.cancel("run stopped", "test");
-    EXPECT_TRUE(other.cancelled());
-    EXPECT_EQ(other.reason(), "run stopped");
-    // The already-cancelled child keeps its own first reason.
-    EXPECT_EQ(child.reason(), "child stopped");
+    cancel("stale", "test");
+    ASSERT_TRUE(cancelled());
+    resetCancellation();
+    EXPECT_FALSE(cancelled());
+    EXPECT_EQ(cancelReason(), "");
+    EXPECT_EQ(cancelOrigin(), "");
+    // A run after the reset can be cancelled again, with a new reason.
+    cancel("fresh", "test2");
+    EXPECT_EQ(cancelReason(), "fresh");
+    EXPECT_EQ(cancelOrigin(), "test2");
 }
 
-TEST_F(CancelTest, ChildOfCancelledParentIsBornCancelled)
+/**
+ * Several threads cancel at once, each with its own reason, while a
+ * 4-slot pool runs back-to-back batches whose bodies poll the flag.
+ * Exactly one (reason, origin) pair wins, and every CancelledError a
+ * body sees, every TaskFailure the pool records and cancelReason()
+ * itself carry that pair, never a loser's or a mix of two. After
+ * resetCancellation() a fresh batch runs clean.
+ */
+TEST_F(CancelTest, RacingCancelsAgreeOnOneWinner)
 {
-    CancelToken parent = CancelToken::make();
-    parent.cancel("too late", "test");
-    const CancelToken child = parent.child();
-    EXPECT_TRUE(child.cancelled());
-    EXPECT_EQ(child.reason(), "too late");
-}
+    constexpr int kCancellers = 4;
+    constexpr std::size_t kTasks = 64;
+    Pool pool(4);
+    ResilienceOptions opts;
+    opts.failFast = false;
+    for (int round = 0; round < 20; ++round) {
+        SCOPED_TRACE("round=" + std::to_string(round));
+        std::atomic<bool> go{false};
+        std::vector<std::thread> cancellers;
+        for (int c = 0; c < kCancellers; ++c)
+            cancellers.emplace_back([c, &go] {
+                while (!go.load())
+                    std::this_thread::yield();
+                cancel("reason " + std::to_string(c),
+                       "origin " + std::to_string(c));
+            });
 
-TEST_F(CancelTest, RootTokenResetsToAFreshToken)
-{
-    rootCancelToken().cancel("stale", "test");
-    ASSERT_TRUE(rootCancelToken().cancelled());
-    resetRootCancelToken();
-    EXPECT_FALSE(rootCancelToken().cancelled());
+        std::mutex mutex;
+        std::vector<std::string> thrown; // guarded by mutex
+        std::vector<TaskFailure> failures;
+        // The third batch releases the cancellers from inside a task,
+        // so the cancels land while its siblings run. Batches go on
+        // until one drains wholly cancelled: every later batch is past
+        // the winning cancel.
+        for (int batch = 0; batch < 100000; ++batch) {
+            const auto lost = pool.parallelForResilient(
+                kTasks,
+                [&](std::size_t i, int) {
+                    if (batch == 2 && i == kTasks / 2)
+                        go.store(true);
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(20));
+                    try {
+                        throwIfCancelled();
+                    } catch (const CancelledError &e) {
+                        std::lock_guard<std::mutex> lock(mutex);
+                        thrown.push_back(e.what());
+                        throw;
+                    }
+                },
+                opts);
+            failures.insert(failures.end(), lost.begin(), lost.end());
+            if (lost.size() == kTasks)
+                break;
+        }
+        for (std::thread &t : cancellers)
+            t.join();
+
+        ASSERT_TRUE(cancelled());
+        const std::string reason = cancelReason();
+        const std::string origin = cancelOrigin();
+        ASSERT_EQ(reason.substr(0, 7), "reason ");
+        EXPECT_EQ(origin, "origin " + reason.substr(7));
+        const std::string expected = CancelledError(reason, origin).what();
+        ASSERT_GE(failures.size(), kTasks);
+        for (const TaskFailure &f : failures) {
+            EXPECT_EQ(f.disposition, TaskDisposition::Cancelled);
+            EXPECT_EQ(f.error, expected);
+        }
+        for (const std::string &what : thrown)
+            EXPECT_EQ(what, expected);
+        cancel("late", "late");
+        EXPECT_EQ(cancelReason(), reason);
+        EXPECT_EQ(cancelOrigin(), origin);
+
+        resetCancellation();
+        std::atomic<std::size_t> ran{0};
+        EXPECT_TRUE(pool.parallelForResilient(
+                            kTasks, [&](std::size_t, int) { ++ran; }, opts)
+                        .empty());
+        EXPECT_EQ(ran.load(), kTasks);
+    }
 }
 
 /**
  * A cancellation racing a real failure inside one batch. Index 6
  * exhausts its retries long before the cancel arrives; index 7 parks
- * on the token and can only leave via CancelledError; the cancel
+ * on the flag and can only leave via CancelledError; the cancel
  * comes from outside the batch, as a signal would. The pair sits at
  * the tail of the range so the failing index runs first under both
  * the inline path (ascending) and a worker's own-deque order
@@ -126,16 +181,14 @@ TEST_F(CancelTest, FailureAndCancellationMixAggregatesByDisposition)
     for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         Pool pool(threads);
-        CancelToken token = CancelToken::make();
         ResilienceOptions opts;
         opts.maxRetries = 2;
         opts.failFast = false;
-        opts.token = token;
 
-        std::thread canceller([&token] {
+        std::thread canceller([] {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(50));
-            token.cancel("stop now", "test");
+            cancel("stop now", "test");
         });
         std::atomic<int> completed{0};
         const auto failures = pool.parallelForResilient(
@@ -144,10 +197,10 @@ TEST_F(CancelTest, FailureAndCancellationMixAggregatesByDisposition)
                 if (i == 6)
                     throw std::runtime_error("boom 6");
                 if (i == 7) {
-                    // Park until the cancel: the token is the only
-                    // exit, so this index observes it mid-body.
+                    // Park until the cancel: it is the only exit,
+                    // so this index observes it mid-body.
                     while (true) {
-                        token.throwIfCancelled();
+                        throwIfCancelled();
                         std::this_thread::sleep_for(
                             std::chrono::milliseconds(1));
                     }
@@ -156,6 +209,7 @@ TEST_F(CancelTest, FailureAndCancellationMixAggregatesByDisposition)
             },
             opts);
         canceller.join();
+        resetCancellation();
 
         ASSERT_EQ(failures.size(), 2u);
         EXPECT_EQ(completed.load(), 6);
@@ -167,7 +221,7 @@ TEST_F(CancelTest, FailureAndCancellationMixAggregatesByDisposition)
 
         EXPECT_EQ(failures[1].index, 7u);
         EXPECT_EQ(failures[1].disposition, TaskDisposition::Cancelled);
-        // One running attempt observed the token; a cancelled index
+        // One running attempt observed the cancel; a cancelled index
         // is never retried even with retry budget left.
         EXPECT_EQ(failures[1].attempts, 1);
         EXPECT_NE(failures[1].error.find("stop now"),
@@ -180,11 +234,9 @@ TEST_F(CancelTest, MixedBatchErrorMessageCountsBothDispositions)
     // Serial pool so the failure set is exact: one real failure, the
     // post-cancel tail cancelled.
     Pool pool(1);
-    CancelToken token = CancelToken::make();
     ResilienceOptions opts;
     opts.maxRetries = 0;
     opts.failFast = true;
-    opts.token = token;
     try {
         pool.parallelForResilient(
             6,
@@ -192,7 +244,7 @@ TEST_F(CancelTest, MixedBatchErrorMessageCountsBothDispositions)
                 if (i == 1)
                     throw std::runtime_error("boom 1");
                 if (i == 3)
-                    token.cancel("stop", "test");
+                    cancel("stop", "test");
             },
             opts);
         FAIL() << "expected BatchError";
@@ -217,11 +269,9 @@ TEST_F(CancelTest, AllCancelledFailFastBatchThrowsCancelledError)
     for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         Pool pool(threads);
-        CancelToken token = CancelToken::make();
-        token.cancel("cancelled before submit", "test");
+        cancel("cancelled before submit", "test");
         ResilienceOptions opts;
         opts.failFast = true;
-        opts.token = token;
         bool body_ran = false;
         try {
             pool.parallelForResilient(
@@ -238,11 +288,9 @@ TEST_F(CancelTest, AllCancelledFailFastBatchThrowsCancelledError)
 TEST_F(CancelTest, AllCancelledNonFailFastBatchReturnsDispositions)
 {
     Pool pool(2);
-    CancelToken token = CancelToken::make();
-    token.cancel("early", "test");
+    cancel("early", "test");
     ResilienceOptions opts;
     opts.failFast = false;
-    opts.token = token;
     const auto failures =
         pool.parallelForResilient(3, [](std::size_t, int) {}, opts);
     ASSERT_EQ(failures.size(), 3u);
@@ -275,17 +323,17 @@ TEST_F(CancelTest, BodyThrownCancelledErrorIsNotRetried)
     EXPECT_EQ(failures[0].attempts, 1);
 }
 
-TEST_F(CancelTest, UnspecifiedTokenFallsBackToRoot)
+TEST_F(CancelTest, DefaultOptionsBatchSeesTheCancel)
 {
     Pool pool(2);
-    rootCancelToken().cancel("root stopped", "test");
+    cancel("run stopped", "test");
     ResilienceOptions opts;
     opts.failFast = false;
     const auto failures =
         pool.parallelForResilient(2, [](std::size_t, int) {}, opts);
     ASSERT_EQ(failures.size(), 2u);
     EXPECT_EQ(failures[0].disposition, TaskDisposition::Cancelled);
-    EXPECT_NE(failures[0].error.find("root stopped"),
+    EXPECT_NE(failures[0].error.find("run stopped"),
               std::string::npos);
 }
 

@@ -31,16 +31,16 @@ struct ShutdownTest : ::testing::Test
     void TearDown() override
     {
         uninstallSignalHandlers();
-        resetRootCancelToken();
+        resetCancellation();
     }
 };
 
-/** Park until the monitor thread has cancelled the root token. */
+/** Park until the monitor thread has cancelled the run. */
 bool
-waitForRootCancel()
+waitForCancel()
 {
     for (int i = 0; i < 5000; ++i) {
-        if (rootCancelToken().cancelled())
+        if (cancelled())
             return true;
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -51,41 +51,39 @@ TEST_F(ShutdownTest, InstallAndUninstallAreIdempotent)
 {
     installSignalHandlers();
     installSignalHandlers();
-    EXPECT_FALSE(shutdownRequested());
-    EXPECT_EQ(shutdownSignal(), 0);
     EXPECT_EQ(shutdownExitCode(), 0);
     uninstallSignalHandlers();
     uninstallSignalHandlers();
-    EXPECT_FALSE(rootCancelToken().cancelled());
+    EXPECT_EQ(shutdownExitCode(), 0);
+    EXPECT_FALSE(cancelled());
 }
 
-TEST_F(ShutdownTest, FirstSigtermCancelsRootAndMapsToExit143)
+TEST_F(ShutdownTest, FirstSigtermCancelsTheRunAndMapsToExit143)
 {
     EXPECT_EXIT(
         {
             installSignalHandlers();
             ::raise(SIGTERM);
-            if (!waitForRootCancel())
+            if (!waitForCancel())
                 ::_exit(99);
-            if (rootCancelToken().reason() != "received SIGTERM" ||
-                rootCancelToken().origin() != "signal")
+            if (cancelReason() != "received SIGTERM" ||
+                cancelOrigin() != "signal")
                 ::_exit(98);
-            if (!shutdownRequested() || shutdownSignal() != SIGTERM)
-                ::_exit(97);
             ::_exit(shutdownExitCode());
         },
         ::testing::ExitedWithCode(143), "SIGTERM received");
 }
 
-TEST_F(ShutdownTest, FirstSigintCancelsRootAndMapsToExit130)
+TEST_F(ShutdownTest, FirstSigintCancelsTheRunAndMapsToExit130)
 {
     EXPECT_EXIT(
         {
             installSignalHandlers();
             ::raise(SIGINT);
-            if (!waitForRootCancel())
+            if (!waitForCancel())
                 ::_exit(99);
-            if (rootCancelToken().reason() != "received SIGINT")
+            if (cancelReason() != "received SIGINT" ||
+                cancelOrigin() != "signal")
                 ::_exit(98);
             ::_exit(shutdownExitCode());
         },
@@ -101,7 +99,7 @@ TEST_F(ShutdownTest, SecondSignalExitsImmediately)
             // Wait for the first signal to be acknowledged, then the
             // second one must _Exit(143) from inside the handler —
             // the sleep below is never reached.
-            while (!shutdownRequested())
+            while (shutdownExitCode() == 0)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
             ::raise(SIGTERM);

@@ -25,6 +25,7 @@
 #include "fi/durable.hh"
 #include "fi/injector.hh"
 #include "obs/manifest.hh"
+#include "par/cancel.hh"
 #include "par/pool.hh"
 #include "serve/journal.hh"
 #include "serve/service.hh"
@@ -149,6 +150,7 @@ struct JournalTest : ::testing::Test
     void TearDown() override
     {
         fi::Injector::instance().disarm();
+        par::resetCancellation();
         std::filesystem::remove_all(dir);
     }
 
@@ -703,11 +705,10 @@ TEST_F(JournalTest, CancelledDrainIsConservedAndDurable)
         obs::Registry reg;
         Params p = baseParams(&reg);
         p.journalDir = dir;
-        p.token = par::CancelToken::make();
         PredictionService svc(primary, p, &fallback);
         runRounds(svc, 0, 5);
         ASSERT_GT(svc.queueDepth(), 0u); // backlog to be shed
-        p.token.cancel("test drain", "test");
+        par::cancel("test drain", "test");
         svc.drain();
         EXPECT_EQ(svc.queueDepth(), 0u);
         EXPECT_TRUE(conserved(reg));
@@ -716,6 +717,7 @@ TEST_F(JournalTest, CancelledDrainIsConservedAndDurable)
                          reg.value("serve.degraded"),
                          reg.value("serve.shed")};
     }
+    par::resetCancellation(); // the restore is a fresh, uncancelled run
     obs::Registry reg;
     Params p = baseParams(&reg);
     p.journalDir = dir;

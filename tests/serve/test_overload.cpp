@@ -43,7 +43,11 @@ struct EchoModel : ml::Regressor
 
 struct OverloadTest : ::testing::Test
 {
-    void TearDown() override { fi::Injector::instance().disarm(); }
+    void TearDown() override
+    {
+        fi::Injector::instance().disarm();
+        par::resetCancellation();
+    }
 
     Request req(std::uint64_t key, Priority pri)
     {
@@ -151,15 +155,13 @@ TEST_F(OverloadTest, ConcurrentSubmittersRaceTheTickDriver)
 
 TEST_F(OverloadTest, CancellationRacingAFullQueue)
 {
-    par::CancelToken token = par::CancelToken::make();
     Params p;
     p.registry = &reg;
     p.budgetPerTick = 4;
     p.queueCapacity = 16;
-    p.token = token;
     PredictionService svc(primary, p, &fallbackModel);
 
-    // A producer keeps the bounded queue saturated while the token is
+    // A producer keeps the bounded queue saturated while the run is
     // cancelled from outside mid-storm: in-flight batch tasks are
     // cancelled by the pool, queued requests are shed at the next
     // tick, and late submissions are shed at admission. Either way the
@@ -178,9 +180,9 @@ TEST_F(OverloadTest, CancellationRacingAFullQueue)
         std::this_thread::yield();
     for (int i = 0; i < 5; ++i)
         svc.tick();
-    token.cancel("load test teardown", "test");
+    par::cancel("load test teardown", "test");
     // Keep the race going: the producer must observably submit against
-    // the cancelled token before the storm stops.
+    // the cancelled run before the storm stops.
     const std::uint64_t afterCancel = submitted.load();
     while (submitted.load() < afterCancel + 64)
         std::this_thread::yield();

@@ -7,7 +7,10 @@ Usage:
 Checks that the flag spelling (--stats-out=) and the key spelling
 (stats_out=) of a run key reach the same session: both runs write a
 manifest, and the manifests carry the same stats digest. Also checks
-that a flag naming no run key is fatal (exit 1).
+that threads= sizes the pool only: `profile random` at threads=1 and
+threads=4 profiles the same workload and writes the same digest. A
+flag naming no run key and a workload naming no suite label are fatal
+(exit 1).
 """
 
 import json
@@ -19,8 +22,8 @@ import tempfile
 RUN = ["profile", "random", "footprint_mib=1", "work_scale=0.05"]
 
 
-def run(dfault, *extra):
-    return subprocess.run([dfault, *RUN, *extra], capture_output=True,
+def run(dfault, *extra, args=RUN):
+    return subprocess.run([dfault, *args, *extra], capture_output=True,
                           text=True, timeout=120)
 
 
@@ -45,6 +48,26 @@ def main(dfault):
                 return 1
         if digest(a) != digest(b):
             print(f"FAIL: digests differ: {digest(a)} != {digest(b)}")
+            return 1
+
+        by_threads = {}
+        for threads in (1, 4):
+            out = os.path.join(tmp, f"t{threads}.json")
+            proc = run(dfault, f"threads={threads}", "stats_out=" + out)
+            if proc.returncode != 0:
+                print(proc.stdout, proc.stderr, sep="\n")
+                print(f"FAIL: threads={threads} exited {proc.returncode}")
+                return 1
+            by_threads[threads] = digest(out)
+        if by_threads[1] != by_threads[4]:
+            print(f"FAIL: threads=1 and threads=4 profile different "
+                  f"workloads: {by_threads[1]} != {by_threads[4]}")
+            return 1
+
+        proc = run(dfault, args=["profile", "lulesh_o2"])
+        if proc.returncode != 1 or "lulesh(O2)" not in proc.stderr:
+            print(proc.stderr)
+            print(f"FAIL: unknown label exited {proc.returncode}")
             return 1
 
         proc = run(dfault, "--no-such-flag")

@@ -4,22 +4,26 @@
  * publicly released model of the paper.
  *
  * Subcommands:
- *   profile <kernel>        print the program features of a workload
- *   characterize <kernel>   run one characterization experiment
- *   sweep <out.csv>         run the full campaign, export the dataset
- *   report <out.csv>        WER table + per-device measurement CSV
- *   evaluate                LOBO accuracy of SVM/KNN/RDF on a sweep
- *   predict <kernel>        train on the standard suite, predict the
- *                           given workload's WER per device
+ *   profile <workload>       print the program features of a workload
+ *   characterize <workload>  run one characterization experiment
+ *   sweep <out.csv>          run the full campaign, export the dataset
+ *   report <out.csv>         WER table + per-device measurement CSV
+ *   evaluate                 LOBO accuracy of SVM/KNN/RDF on a sweep
+ *   predict <workload>       train on the standard suite, predict the
+ *                            given workload's WER per device
+ *
+ * A <workload> is a figure label of the standard or extended suite
+ * (workloads/registry.hh), which fixes its thread count: "srad" runs
+ * 1 thread, "srad(par)" 8, "lulesh(O2)" 8.
  *
  * Every subcommand accepts the run keys of core::RunSession
  * (footprint_mib, work_scale, epochs, threads, stats_out, trace_events,
  * faults, checkpoint, retries, ...; see core/run_session.hh), each also
  * spelled as a flag: --stats-out=<path> is stats_out=<path> and
- * --progress is progress=true. The subcommands add their own keys:
+ * --progress is progress=true. The run key threads= sizes the pool
+ * only, so it never changes what is profiled or measured. The
+ * subcommands add their own keys:
  *   trefp_s=2.283 vdd_v=1.428 temp_c=50   operating point
- *   threads=8                             workload threads (also sizes
- *                                         the pool)
  *   input_set=1 model=knn                 predictor choice
  *
  * SIGINT/SIGTERM cancel the run cooperatively: in-flight work drains,
@@ -41,6 +45,7 @@
 #include "features/extractor.hh"
 #include "ml/io.hh"
 #include "par/cancel.hh"
+#include "workloads/registry.hh"
 
 using namespace dfault;
 
@@ -57,13 +62,21 @@ operatingPoint(const Config &config)
     return op;
 }
 
+/** The suite configuration labelled @p label; fatal, listing every
+ *  label, for any other name. */
 workloads::WorkloadConfig
-workloadConfig(const Config &config, const std::string &kernel)
+workloadConfig(const std::string &label)
 {
-    const int threads =
-        static_cast<int>(config.getIntIn("threads", 8, 1, 4096));
-    return {kernel, threads,
-            threads == 1 ? kernel : kernel + "(par)"};
+    auto suite = workloads::standardSuite();
+    for (auto &config : workloads::extendedSuite())
+        suite.push_back(std::move(config));
+    std::string labels;
+    for (const auto &config : suite) {
+        if (config.label == label)
+            return config;
+        labels += " " + config.label;
+    }
+    DFAULT_FATAL("unknown workload '", label, "'; valid labels:", labels);
 }
 
 core::InputSet
@@ -95,9 +108,9 @@ modelKind(const Config &config)
 }
 
 int
-cmdProfile(core::RunSession &session, const std::string &kernel)
+cmdProfile(core::RunSession &session, const std::string &label)
 {
-    const auto config = workloadConfig(session.config(), kernel);
+    const auto config = workloadConfig(label);
     const auto &profile = features::ProfileCache::instance().get(
         session.platform(), config, session.campaign().params().workload);
 
@@ -122,11 +135,10 @@ cmdProfile(core::RunSession &session, const std::string &kernel)
 }
 
 int
-cmdCharacterize(core::RunSession &session, const std::string &kernel)
+cmdCharacterize(core::RunSession &session, const std::string &label)
 {
     const auto op = operatingPoint(session.config());
-    const auto m = session.campaign().measure(
-        workloadConfig(session.config(), kernel), op);
+    const auto m = session.campaign().measure(workloadConfig(label), op);
     std::printf("%s at %s:\n", m.label.c_str(), op.label().c_str());
     std::printf("  achieved temperature %.1f C\n",
                 m.achieved.temperature);
@@ -207,7 +219,7 @@ cmdEvaluate(core::RunSession &session)
 }
 
 int
-cmdPredict(core::RunSession &session, const std::string &kernel)
+cmdPredict(core::RunSession &session, const std::string &label)
 {
     std::printf("training %s on the standard suite...\n",
                 core::modelKindName(modelKind(session.config())).c_str());
@@ -219,7 +231,7 @@ cmdPredict(core::RunSession &session, const std::string &kernel)
     const auto model = core::DramErrorModel::trainWer(
         measurements, session.platform().geometry().deviceCount(), options);
 
-    const auto config = workloadConfig(session.config(), kernel);
+    const auto config = workloadConfig(label);
     const auto &profile = features::ProfileCache::instance().get(
         session.platform(), config, session.campaign().params().workload);
     const auto op = operatingPoint(session.config());
@@ -240,15 +252,16 @@ usage()
 {
     std::printf(
         "usage: dfault <command> [args] [key=value ...]\n"
-        "  profile <kernel>       program features of a workload\n"
-        "  characterize <kernel>  one characterization experiment\n"
-        "  sweep <out.csv>        full campaign -> CSV dataset\n"
-        "  report <out.csv>       WER table + per-device CSV\n"
-        "  evaluate               LOBO accuracy of all models\n"
-        "  predict <kernel>       train + predict per-device WER\n"
-        "kernels: backprop kmeans nw srad fmm memcached pagerank bfs\n"
-        "         bc lulesh_o2 lulesh_f random\n"
-        "run keys: footprint_mib work_scale epochs threads\n"
+        "  profile <workload>       program features of a workload\n"
+        "  characterize <workload>  one characterization experiment\n"
+        "  sweep <out.csv>          full campaign -> CSV dataset\n"
+        "  report <out.csv>         WER table + per-device CSV\n"
+        "  evaluate                 LOBO accuracy of all models\n"
+        "  predict <workload>       train + predict per-device WER\n"
+        "workloads: backprop kmeans nw srad fmm (1 thread), the same\n"
+        "           with (par) (8 threads), memcached pagerank bfs bc\n"
+        "           lulesh(O2) lulesh(F) random (8 threads)\n"
+        "run keys: footprint_mib work_scale epochs threads (pool size)\n"
         "          thermal_loop faults checkpoint retries fail_fast\n"
         "          task_timeout deadline stats_out manifest_out\n"
         "          quarantine_out trace_out trace_events progress\n"
