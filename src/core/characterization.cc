@@ -1,6 +1,7 @@
 #include "core/characterization.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <limits>
 
@@ -146,9 +147,18 @@ CharacterizationCampaign::measureCell(sys::Platform &platform,
         // this cell shows which (workload, operating point) it ran.
         if (tracer.enabled())
             obs::ScopedTimer::annotate(where);
-        m.run = integrator_.run(profile, m.achieved,
-                                platform.geometry(),
-                                platform.devices(), cell.runSeed, log);
+        // Only the epoch draws depend on the run seed. A run with an
+        // error log bypasses the memo: its record sampling needs each
+        // device's hot rows, which the memo does not keep.
+        if (log != nullptr)
+            m.run = integrator_.run(profile, m.achieved,
+                                    platform.geometry(),
+                                    platform.devices(), cell.runSeed, log);
+        else
+            m.run = integrator_.runEpochs(
+                profile, m.achieved, platform.geometry(),
+                intensityFor(platform, profile, m.achieved)->devices,
+                cell.runSeed);
         integrate_seconds = integrate_timer.elapsed();
     }
 
@@ -233,6 +243,44 @@ CharacterizationCampaign::slotPlatform()
     if (!replica)
         replica = platform_.clone();
     return *replica;
+}
+
+std::shared_ptr<const CharacterizationCampaign::IntensityEntry>
+CharacterizationCampaign::intensityFor(
+    const sys::Platform &platform, const features::WorkloadProfile &profile,
+    const dram::OperatingPoint &achieved)
+{
+    const IntensityKey key{reinterpret_cast<std::uintptr_t>(&profile),
+                           std::bit_cast<std::uint64_t>(achieved.trefp),
+                           std::bit_cast<std::uint64_t>(achieved.vdd),
+                           std::bit_cast<std::uint64_t>(
+                               achieved.temperature)};
+
+    // Two-phase lookup, as in features::ProfileCache::get(): the map
+    // mutex only pins the entry; the per-row pass runs outside it, once
+    // per key even when PUE repeats of one cell reach it together.
+    std::shared_ptr<IntensityEntry> entry;
+    {
+        const std::lock_guard<std::mutex> lock(intensityMutex_);
+        // A ProfileCache::clear() frees the profiles the keys point
+        // at, and a new profile can take a freed address.
+        const std::uint64_t generation =
+            features::ProfileCache::instance().generation();
+        if (generation != intensityGeneration_) {
+            intensities_.clear();
+            intensityGeneration_ = generation;
+        }
+        auto &slot = intensities_[key];
+        if (!slot)
+            slot = std::make_shared<IntensityEntry>();
+        entry = slot;
+    }
+
+    std::call_once(entry->once, [&] {
+        entry->devices = integrator_.intensity(
+            profile, achieved, platform.geometry(), platform.devices());
+    });
+    return entry;
 }
 
 std::vector<Measurement>

@@ -13,6 +13,10 @@
 #ifndef DFAULT_CORE_CHARACTERIZATION_HH
 #define DFAULT_CORE_CHARACTERIZATION_HH
 
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/error_integrator.hh"
@@ -89,7 +93,10 @@ class CharacterizationCampaign
      * testbed reset makes every measurement independent of campaign
      * history, which is what allows sweeps to run in any order — or
      * in parallel — with identical results. Runs the cell body on
-     * the calling thread, outside the pool.
+     * the calling thread, outside the pool. The seed-independent part
+     * of the integration (ErrorIntegrator::intensity) is computed once
+     * per (profile, achieved operating point) per campaign; later run
+     * seeds of the cell only draw the epochs.
      *
      * @param run_seed distinguishes repeats of the same experiment
      * @param log optional destination for sampled error records
@@ -175,6 +182,38 @@ class CharacterizationCampaign
      *  submitting thread, a lazily-built replica on pool workers. */
     sys::Platform &slotPlatform();
 
+    /**
+     * Exact key of one (profile, achieved operating point): the cached
+     * profile's address and the bit patterns of the achieved TREFP,
+     * VDD and temperature, so no two distinct points share an entry.
+     */
+    struct IntensityKey
+    {
+        std::uintptr_t profile = 0;
+        std::uint64_t trefp = 0;
+        std::uint64_t vdd = 0;
+        std::uint64_t temperature = 0;
+        auto operator<=>(const IntensityKey &) const = default;
+    };
+
+    struct IntensityEntry
+    {
+        std::once_flag once;
+        std::vector<DeviceIntensity> devices;
+    };
+
+    /**
+     * The device intensities of @p profile at @p achieved, computed on
+     * @p platform's devices by the first caller and shared by every
+     * later run seed. All platforms of a campaign (its own and the
+     * replicas) carry the same devices, and the integrator's params
+     * are fixed, so an entry depends on its key alone.
+     */
+    std::shared_ptr<const IntensityEntry>
+    intensityFor(const sys::Platform &platform,
+                 const features::WorkloadProfile &profile,
+                 const dram::OperatingPoint &achieved);
+
     sys::Platform &platform_;
     Params params_;
     ErrorIntegrator integrator_;
@@ -182,6 +221,13 @@ class CharacterizationCampaign
      *  each batch (index 0 unused: that is platform_). */
     std::vector<std::unique_ptr<sys::Platform>> replicas_;
     std::vector<QuarantineEntry> lastQuarantine_;
+
+    /** Guards intensities_ and intensityGeneration_ (not the entries,
+     *  which fill under their own once_flag). */
+    std::mutex intensityMutex_;
+    std::map<IntensityKey, std::shared_ptr<IntensityEntry>> intensities_;
+    /** ProfileCache::generation() the keys' profile addresses are from. */
+    std::uint64_t intensityGeneration_ = 0;
 };
 
 /** The WER study's operating points: Fig 7's TREFP x temperature grid

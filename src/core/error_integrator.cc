@@ -232,6 +232,10 @@ ErrorIntegrator::ErrorIntegrator(const Params &params)
         DFAULT_FATAL("integrator: epoch count must be positive");
     if (params_.epochLength <= 0.0)
         DFAULT_FATAL("integrator: epoch length must be positive");
+    firstActivation_.reserve(static_cast<std::size_t>(params_.epochs));
+    for (int epoch = 1; epoch <= params_.epochs; ++epoch)
+        firstActivation_.push_back(vrt_.firstActivationProbability(
+            static_cast<std::uint64_t>(epoch)));
 }
 
 std::vector<RowIntensity>
@@ -272,7 +276,7 @@ ErrorIntegrator::analyzeRows(const features::WorkloadProfile &profile,
     return out;
 }
 
-ErrorIntegrator::DeviceIntensity
+DeviceIntensity
 ErrorIntegrator::computeIntensity(const features::WorkloadProfile &profile,
                                   const dram::OperatingPoint &op,
                                   const dram::Geometry &geometry,
@@ -354,6 +358,20 @@ ErrorIntegrator::run(const features::WorkloadProfile &profile,
                      const std::vector<dram::DramDevice> &devices,
                      std::uint64_t run_seed, dram::ErrorLog *log) const
 {
+    // Hot rows only feed the error log's record sampling.
+    return runEpochs(profile, op, geometry,
+                     intensity(profile, op, geometry, devices,
+                               log != nullptr),
+                     run_seed, log);
+}
+
+std::vector<DeviceIntensity>
+ErrorIntegrator::intensity(const features::WorkloadProfile &profile,
+                           const dram::OperatingPoint &op,
+                           const dram::Geometry &geometry,
+                           const std::vector<dram::DramDevice> &devices,
+                           bool hot_rows) const
+{
     op.validate();
     DFAULT_ASSERT(static_cast<int>(devices.size()) ==
                       geometry.deviceCount(),
@@ -364,24 +382,34 @@ ErrorIntegrator::run(const features::WorkloadProfile &profile,
                   "profile has an empty footprint");
 
     const double exposure_scale = exposureScale(params_, profile);
-
-    // Hot rows only feed the error log's record sampling.
     const int n_dev = geometry.deviceCount();
-    std::vector<DeviceIntensity> intensity;
-    intensity.reserve(n_dev);
+    std::vector<DeviceIntensity> out;
+    out.reserve(n_dev);
     for (int d = 0; d < n_dev; ++d)
-        intensity.push_back(computeIntensity(profile, op, geometry,
-                                             devices[d], d,
-                                             exposure_scale,
-                                             log != nullptr));
+        out.push_back(computeIntensity(profile, op, geometry, devices[d],
+                                       d, exposure_scale, hot_rows));
+    return out;
+}
+
+RunResult
+ErrorIntegrator::runEpochs(const features::WorkloadProfile &profile,
+                           const dram::OperatingPoint &op,
+                           const dram::Geometry &geometry,
+                           const std::vector<DeviceIntensity> &intensity,
+                           std::uint64_t run_seed,
+                           dram::ErrorLog *log) const
+{
+    const int n_dev = geometry.deviceCount();
+    DFAULT_ASSERT(static_cast<int>(intensity.size()) == n_dev,
+                  "intensities do not match the geometry");
 
     RunResult result;
     result.cePerDevice.assign(n_dev, 0.0);
     result.wordsPerDevice.resize(n_dev);
     for (int d = 0; d < n_dev; ++d)
         result.wordsPerDevice[d] = intensity[d].touchedWords;
-    result.allocatedWords =
-        static_cast<double>(profile.footprintWords) * exposure_scale;
+    result.allocatedWords = static_cast<double>(profile.footprintWords) *
+                            exposureScale(params_, profile);
 
     const std::uint64_t stream_seed = hashCombine(
         hashCombine(params_.seed, hashOperatingPoint(op)),
@@ -400,8 +428,7 @@ ErrorIntegrator::run(const features::WorkloadProfile &profile,
         // watchdog's view of a healthy cell fresh even under sanitizer
         // slowdowns (no-op outside a pool task).
         par::heartbeat();
-        const double first_act = vrt_.firstActivationProbability(
-            static_cast<std::uint64_t>(epoch));
+        const double first_act = firstActivation_[epoch - 1];
 
         for (int d = 0; d < n_dev; ++d) {
             const DeviceIntensity &dev_int = intensity[d];

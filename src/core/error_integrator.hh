@@ -89,6 +89,23 @@ struct RowIntensity
     double interferenceDelta = 0.0; ///< threshold widening from hammering
 };
 
+/**
+ * One device's seed-independent failure intensities under one
+ * operating point: the per-row pass of a run, before any draw.
+ */
+struct DeviceIntensity
+{
+    double ceLambda = 0.0;     ///< expected failing cells (scaled)
+    double pUePerEpoch = 0.0;  ///< P(a UE word) per epoch
+    double sdcPerEpoch = 0.0;  ///< expected >=3-flip words per epoch
+    double touchedWords = 0.0; ///< scaled words on this device
+    /**
+     * The heaviest rows, for record sampling into an error log;
+     * empty unless intensity() was asked to collect them.
+     */
+    std::vector<std::pair<std::uint64_t, double>> hotRows;
+};
+
 /** See file comment. */
 class ErrorIntegrator
 {
@@ -156,6 +173,36 @@ class ErrorIntegrator
                   dram::ErrorLog *log = nullptr) const;
 
     /**
+     * The seed-independent stage of run(): each device's failure
+     * intensities for @p profile at @p op. Repeats of one experiment
+     * (run seeds, PUE repeats) share it; the characterization campaign
+     * computes it once per (profile, operating point).
+     *
+     * @param hot_rows also collect each device's heaviest rows, which
+     *        only a run with an error log samples
+     */
+    std::vector<DeviceIntensity>
+    intensity(const features::WorkloadProfile &profile,
+              const dram::OperatingPoint &op,
+              const dram::Geometry &geometry,
+              const std::vector<dram::DramDevice> &devices,
+              bool hot_rows = false) const;
+
+    /**
+     * The seeded stage of run(): the epoch loop's CE, UE and record
+     * draws from @p intensity, as intensity() returned it for the same
+     * @p profile, @p op and @p geometry. run() is exactly
+     * runEpochs(intensity(...), ...). A @p log receives records only
+     * from intensities computed with hot_rows.
+     */
+    RunResult runEpochs(const features::WorkloadProfile &profile,
+                        const dram::OperatingPoint &op,
+                        const dram::Geometry &geometry,
+                        const std::vector<DeviceIntensity> &intensity,
+                        std::uint64_t run_seed = 0,
+                        dram::ErrorLog *log = nullptr) const;
+
+    /**
      * Per-row expected failure intensities of one device under @p op —
      * the analysis view behind retention profiling (which rows would a
      * characterization flag?) and row-level risk tooling. Only touched
@@ -174,19 +221,9 @@ class ErrorIntegrator
     dram::InterferenceModel interference_;
     dram::EccSecded ecc_;
 
-    /** Per-device precomputed failure intensities. */
-    struct DeviceIntensity
-    {
-        double ceLambda = 0.0;     ///< expected failing cells (scaled)
-        double pUePerEpoch = 0.0;  ///< P(a UE word) per epoch
-        double sdcPerEpoch = 0.0;  ///< expected >=3-flip words per epoch
-        double touchedWords = 0.0; ///< scaled words on this device
-        /**
-         * The heaviest rows, for record sampling into an error log;
-         * empty unless computeIntensity() was asked to collect them.
-         */
-        std::vector<std::pair<std::uint64_t, double>> hotRows;
-    };
+    /** VrtModel::firstActivationProbability of epoch e at [e - 1],
+     *  for every epoch of a run (it depends on nothing else). */
+    std::vector<double> firstActivation_;
 
     DeviceIntensity
     computeIntensity(const features::WorkloadProfile &profile,

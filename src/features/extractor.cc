@@ -417,6 +417,7 @@ ProfileCache::clear()
 {
     const std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
+    ++generation_;
 }
 
 } // namespace dfault::features

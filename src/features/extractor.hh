@@ -7,6 +7,8 @@
 #ifndef DFAULT_FEATURES_EXTRACTOR_HH
 #define DFAULT_FEATURES_EXTRACTOR_HH
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -59,6 +61,16 @@ class ProfileCache
     /** Drop all cached profiles (invalidates outstanding pointers). */
     void clear();
 
+    /**
+     * Number of clear() calls so far. A profile address is a valid key
+     * only within one generation: a profile cached after a clear() can
+     * reuse a freed one's address.
+     */
+    std::uint64_t generation() const
+    {
+        return generation_.load();
+    }
+
   private:
     struct Entry
     {
@@ -70,6 +82,7 @@ class ProfileCache
 
     std::mutex mutex_; ///< guards entries_ (the map, not the profiles)
     std::map<std::string, std::shared_ptr<Entry>> entries_;
+    std::atomic<std::uint64_t> generation_{0};
 };
 
 } // namespace dfault::features

@@ -1,17 +1,23 @@
 /**
  * @file
  * Unit tests for the characterization campaign driver: thermal-loop
- * coupling, sweep bookkeeping, PUE stats at any pool size, and the
- * operating-point grids.
+ * coupling, sweep bookkeeping, PUE stats at any pool size, the
+ * operating-point grids, and the device-intensity memo (bit-identical
+ * to a fresh campaign, dropped by a ProfileCache clear).
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 
 #include "core/characterization.hh"
 #include "dram/error_log.hh"
+#include "features/extractor.hh"
+#include "fi/injector.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
 #include "obs/stats.hh"
@@ -240,6 +246,113 @@ TEST(Campaign, ErrorLogLeavesMeasurementUnchanged)
     }
     // The comparison covers runs a UE ends early, not only survivors.
     EXPECT_GT(crashes, 0);
+}
+
+/** Every field of @p r, doubles as hex floats: equal iff bit-equal. */
+std::string
+hexRun(const RunResult &r)
+{
+    std::string out;
+    const auto add = [&out](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%a ", v);
+        out += buf;
+    };
+    out += "wer:";
+    for (const double v : r.werSeries)
+        add(v);
+    out += "\nce:";
+    for (const double v : r.cePerDevice)
+        add(v);
+    out += "\nwords:";
+    for (const double v : r.wordsPerDevice)
+        add(v);
+    out += "\nsdc:";
+    add(r.expectedSdc);
+    out += "alloc:";
+    add(r.allocatedWords);
+    out += "\ncrash:" + std::to_string(r.crashed) + " @" +
+           std::to_string(r.crashEpoch) + " dev " +
+           std::to_string(r.crashDevice);
+    return out;
+}
+
+/** measure() on a campaign built for this one measurement. */
+RunResult
+freshMeasure(const CharacterizationCampaign::Params &params,
+             const workloads::WorkloadConfig &config,
+             const dram::OperatingPoint &op, std::uint64_t seed)
+{
+    CharacterizationCampaign fresh(sharedPlatform(), params);
+    return fresh.measure(config, op, seed).run;
+}
+
+TEST(Campaign, RepeatMeasurementsMatchAFreshCampaign)
+{
+    // One long-lived campaign computes each cell's device intensities
+    // once and reuses them for every later seed; each result must be
+    // bit-identical to a campaign that has measured nothing before.
+    const CharacterizationCampaign::Params params = smallParams(true);
+    CharacterizationCampaign campaign(sharedPlatform(), params);
+    const std::vector<workloads::WorkloadConfig> suite{
+        {"backprop", 8, "backprop(par)"}, {"srad", 1, "srad"}};
+    std::vector<dram::OperatingPoint> points = pueOperatingPoints();
+    points.push_back({1.173, dram::kMinVdd, 60.0});
+    int crashes = 0;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed)
+        for (const auto &config : suite)
+            for (const auto &op : points) {
+                SCOPED_TRACE(::testing::Message()
+                             << config.label << " @ " << op.label()
+                             << ", seed " << seed);
+                const RunResult memo =
+                    campaign.measure(config, op, seed).run;
+                EXPECT_EQ(hexRun(memo),
+                          hexRun(freshMeasure(params, config, op, seed)));
+                crashes += memo.crashed;
+            }
+    // The comparison covers runs a UE ends early, not only survivors.
+    EXPECT_GT(crashes, 0);
+}
+
+TEST(Campaign, ProfileCacheClearDropsTheIntensityMemo)
+{
+    // A profile cached after a clear() can take the freed address of
+    // one cached before it. Measuring B at A's operating point (the
+    // thermal loop is off, so both achieve exactly it) after a clear
+    // must not reuse A's intensities.
+    const CharacterizationCampaign::Params params = smallParams(false);
+    CharacterizationCampaign campaign(sharedPlatform(), params);
+    const workloads::WorkloadConfig a{"kmeans", 8, "kmeans(par)"};
+    const workloads::WorkloadConfig b{"srad", 8, "srad(par)"};
+    const dram::OperatingPoint op{2.283, dram::kMinVdd, 60.0};
+
+    auto &cache = features::ProfileCache::instance();
+    cache.clear();
+    const RunResult ra = campaign.measure(a, op, 1).run;
+    cache.clear();
+    const RunResult rb = campaign.measure(b, op, 1).run;
+    const RunResult want = freshMeasure(params, b, op, 1);
+    EXPECT_NE(hexRun(ra), hexRun(want)); // the two configs differ
+    EXPECT_EQ(hexRun(rb), hexRun(want));
+}
+
+TEST(Campaign, CorruptedMeasurementLeavesTheMemoClean)
+{
+    // measure.nan garbles one measurement's result after integration;
+    // the memo holds only intensities, so the next measurement of the
+    // same cell is unaffected.
+    const CharacterizationCampaign::Params params = smallParams(true);
+    CharacterizationCampaign campaign(sharedPlatform(), params);
+    const workloads::WorkloadConfig config{"srad", 8, "srad(par)"};
+    const dram::OperatingPoint op{2.283, dram::kMinVdd, 60.0};
+    auto &inj = fi::Injector::instance();
+    inj.arm("measure.nan");
+    const RunResult garbled = campaign.measure(config, op, 1).run;
+    inj.disarm();
+    ASSERT_TRUE(std::isnan(garbled.werSeries.back()));
+    EXPECT_EQ(hexRun(campaign.measure(config, op, 1).run),
+              hexRun(freshMeasure(params, config, op, 1)));
 }
 
 } // namespace
