@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -22,6 +23,9 @@ Cache::Cache(const Params &params) : params_(params)
         DFAULT_FATAL("cache: lineBytes must be a power of two");
     if (params_.ways == 0)
         DFAULT_FATAL("cache: ways must be positive");
+    if (params_.ways > kMaxWays)
+        DFAULT_FATAL("cache: at most ", kMaxWays, " ways, got ",
+                     params_.ways);
     const std::uint64_t lines = params_.sizeBytes / params_.lineBytes;
     if (lines == 0 || lines % params_.ways != 0)
         DFAULT_FATAL("cache: size/line/ways do not divide evenly");
@@ -31,8 +35,9 @@ Cache::Cache(const Params &params) : params_(params)
     lineShift_ = std::countr_zero(params_.lineBytes);
     setShift_ = std::countr_zero(sets_);
     tags_.resize(lines);
-    stamps_.resize(lines);
-    dirty_.resize(lines);
+    order_.resize(lines);
+    dirty_.resize(sets_);
+    flush();
 }
 
 CacheAccessResult
@@ -42,45 +47,46 @@ Cache::access(Addr addr, bool is_write)
     const std::uint32_t set = static_cast<std::uint32_t>(line_no) &
                               (sets_ - 1);
     const std::uint64_t key = (line_no >> setShift_) + 1;
-    const std::size_t base = static_cast<std::size_t>(set) * params_.ways;
+    const std::uint32_t ways = params_.ways;
+    const std::size_t base = static_cast<std::size_t>(set) * ways;
     std::uint64_t *tags = &tags_[base];
-    std::uint64_t *stamps = &stamps_[base];
-    std::uint8_t *dirty = &dirty_[base];
+    std::uint8_t *order = &order_[base];
+    std::uint64_t &dirty = dirty_[set];
 
     if (is_write)
         ++counters_.writeAccesses;
     else
         ++counters_.readAccesses;
 
-    ++lruClock_;
-
-    // Hit path.
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
+    // Hit path: move the way to the front of the recency order.
+    for (std::uint32_t w = 0; w < ways; ++w) {
         if (tags[w] == key) {
-            stamps[w] = lruClock_;
-            dirty[w] |= static_cast<std::uint8_t>(is_write);
+            if (order[0] != w) {
+                std::uint32_t pos = 1;
+                while (order[pos] != w)
+                    ++pos;
+                std::memmove(order + 1, order, pos);
+                order[0] = static_cast<std::uint8_t>(w);
+            }
+            dirty |= std::uint64_t{is_write} << w;
             return CacheAccessResult{true, std::nullopt};
         }
     }
 
-    // Miss: pick the first invalid way, else the LRU victim.
+    // Miss: the last way in recency order is the victim (the first
+    // invalid way, else the LRU way; see the class comment).
     if (is_write)
         ++counters_.writeMisses;
     else
         ++counters_.readMisses;
 
-    std::uint32_t victim = 0;
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        if (tags[w] == 0) {
-            victim = w;
-            break;
-        }
-        if (stamps[w] < stamps[victim])
-            victim = w;
-    }
+    const std::uint32_t victim = order[ways - 1];
+    std::memmove(order + 1, order, ways - 1);
+    order[0] = static_cast<std::uint8_t>(victim);
 
     CacheAccessResult result{false, std::nullopt};
-    if (tags[victim] != 0 && dirty[victim]) {
+    const std::uint64_t bit = std::uint64_t{1} << victim;
+    if (dirty & bit) { // invalid ways are never dirty
         ++counters_.writebacks;
         const std::uint64_t victim_line =
             ((tags[victim] - 1) << setShift_) | set;
@@ -88,8 +94,7 @@ Cache::access(Addr addr, bool is_write)
     }
 
     tags[victim] = key;
-    stamps[victim] = lruClock_;
-    dirty[victim] = static_cast<std::uint8_t>(is_write);
+    dirty = (dirty & ~bit) | (std::uint64_t{is_write} << victim);
     return result;
 }
 
@@ -97,9 +102,11 @@ void
 Cache::flush()
 {
     std::fill(tags_.begin(), tags_.end(), 0);
-    std::fill(stamps_.begin(), stamps_.end(), 0);
     std::fill(dirty_.begin(), dirty_.end(), 0);
-    lruClock_ = 0;
+    // Descending way order: misses fill ways 0, 1, 2, ... in turn.
+    const std::uint32_t ways = params_.ways;
+    for (std::size_t i = 0; i < order_.size(); ++i)
+        order_[i] = static_cast<std::uint8_t>(ways - 1 - i % ways);
 }
 
 void

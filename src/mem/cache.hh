@@ -44,7 +44,13 @@ struct CacheCounters
 
 /**
  * Write-back, write-allocate set-associative cache with true-LRU
- * replacement per set.
+ * replacement per set (at most kMaxWays ways).
+ *
+ * Each set keeps its ways in recency order, most recent first, so the
+ * replacement victim is always the last entry of that order: flush()
+ * lays the ways out in descending index order, so while a set fills the
+ * last entry is its first invalid way, and once it is full the last
+ * entry is its least recently used way.
  */
 class Cache
 {
@@ -56,6 +62,9 @@ class Cache
         std::uint32_t ways = 8;
         Cycles hitLatency = 2;
     };
+
+    /** Upper bound on Params::ways: a set's dirty bits are one word. */
+    static constexpr std::uint32_t kMaxWays = 64;
 
     explicit Cache(const Params &params);
 
@@ -81,11 +90,10 @@ class Cache
     std::uint32_t sets_;
     int lineShift_;
     int setShift_; ///< log2(sets_): line number -> tag
-    // Set-major structure of arrays, sets_ * ways entries each.
-    std::vector<std::uint64_t> tags_;   ///< tag + 1; 0 = invalid way
-    std::vector<std::uint64_t> stamps_; ///< LRU stamp of the last touch
-    std::vector<std::uint8_t> dirty_;
-    std::uint64_t lruClock_ = 0;
+    // Set-major, sets_ * ways entries each.
+    std::vector<std::uint64_t> tags_; ///< tag + 1; 0 = invalid way
+    std::vector<std::uint8_t> order_; ///< way indices, most recent first
+    std::vector<std::uint64_t> dirty_; ///< per set, bit w = way w dirty
     CacheCounters counters_;
 };
 

@@ -1,5 +1,7 @@
 #include "trace/entropy_sampler.hh"
 
+#include <new>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "stats/entropy.hh"
@@ -8,11 +10,21 @@ namespace dfault::trace {
 
 EntropySampler::EntropySampler() : EntropySampler(Params{}) {}
 
-EntropySampler::EntropySampler(const Params &params) : params_(params)
+EntropySampler::EntropySampler(const Params &params)
+    : params_(params), counts_(&arena_)
 {
     if (params_.stride == 0)
         DFAULT_FATAL("entropy sampler: stride must be positive");
     reservoir_.reserve(params_.reservoirSize);
+}
+
+void
+EntropySampler::NodeArena::release()
+{
+    for (const Block &b : heap_)
+        std::pmr::new_delete_resource()->deallocate(b.p, b.bytes, b.align);
+    heap_.clear();
+    nodes_.release();
 }
 
 void *
@@ -20,15 +32,20 @@ EntropySampler::NodeArena::do_allocate(std::size_t bytes, std::size_t align)
 {
     if (bytes <= kNodeBytes)
         return nodes_.allocate(bytes, align);
-    return std::pmr::new_delete_resource()->allocate(bytes, align);
+    heap_.reserve(heap_.size() + 1); // so push_back cannot throw
+    void *p = std::pmr::new_delete_resource()->allocate(bytes, align);
+    heap_.push_back({p, bytes, align});
+    return p;
 }
 
 void
 EntropySampler::NodeArena::do_deallocate(void *p, std::size_t bytes,
                                          std::size_t align)
 {
-    if (bytes > kNodeBytes)
-        std::pmr::new_delete_resource()->deallocate(p, bytes, align);
+    if (bytes <= kNodeBytes)
+        return;
+    std::erase_if(heap_, [p](const Block &b) { return b.p == p; });
+    std::pmr::new_delete_resource()->deallocate(p, bytes, align);
 }
 
 void
@@ -103,9 +120,10 @@ EntropySampler::reset()
     counted_ = 0;
     saturated_ = false;
     // A fresh table, not clear(): clear() keeps the grown bucket array,
-    // and with it an iteration order a new sampler would not have.
-    counts_ = Counts(&arena_);
+    // and with it an iteration order a new sampler would not have. The
+    // old table goes with the arena's memory; see counts_.
     arena_.release();
+    new (&counts_) Counts(&arena_);
     reservoir_.clear();
     reservoirSeen_ = 0;
 }

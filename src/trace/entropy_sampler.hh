@@ -46,6 +46,10 @@ class EntropySampler : public AccessSink
     EntropySampler(const EntropySampler &) = delete;
     EntropySampler &operator=(const EntropySampler &) = delete;
 
+    /** Empty on purpose: counts_ is never destroyed (see there), and
+     *  arena_'s destructor frees its memory. */
+    ~EntropySampler() override {}
+
     void onAccess(const AccessEvent &event) override;
 
     /** Estimated data-pattern entropy in bits (0..32). */
@@ -68,17 +72,32 @@ class EntropySampler : public AccessSink
      * Memory for the histogram. Blocks of at most kNodeBytes (the
      * map's nodes) are bump-allocated and freed all at once; larger
      * blocks (its bucket arrays) come from the heap and go back on
-     * every rehash, so no stale bucket array stays resident.
+     * every rehash, so no stale bucket array stays resident. The arena
+     * owns every block it handed out, live or not: release() frees
+     * them all, which ends a map without walking its nodes.
      */
     class NodeArena final : public std::pmr::memory_resource
     {
       public:
-        /** Free every node block. @pre no node is live. */
-        void release() { nodes_.release(); }
+        ~NodeArena() override { release(); }
+
+        /** Free every block. The map using them must not be touched
+         *  again, only have its storage reused. */
+        void release();
 
       private:
         static constexpr std::size_t kNodeBytes = 64;
+
+        struct Block
+        {
+            void *p;
+            std::size_t bytes;
+            std::size_t align;
+        };
+
         std::pmr::monotonic_buffer_resource nodes_;
+        /** Live heap blocks: one bucket array, two during a rehash. */
+        std::vector<Block> heap_;
 
         void *do_allocate(std::size_t bytes, std::size_t align) override;
         void do_deallocate(void *p, std::size_t bytes,
@@ -103,7 +122,14 @@ class EntropySampler : public AccessSink
     // golden profiles depend on it). Only the allocator differs.
     using Counts = std::pmr::unordered_map<std::uint32_t, std::uint64_t>;
     NodeArena arena_;
-    Counts counts_{&arena_};
+    // Never destroyed: its destructor would walk every node to hand it
+    // back one by one. Its life ends instead when arena_ releases all
+    // of its memory (in reset() and in arena_'s destructor), and the
+    // union keeps the compiler from running ~Counts.
+    union
+    {
+        Counts counts_;
+    };
     std::vector<std::uint64_t> reservoir_;
     std::uint64_t reservoirSeen_ = 0;
 };

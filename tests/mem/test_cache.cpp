@@ -130,5 +130,18 @@ TEST(CacheDeath, BadGeometry)
     EXPECT_EXIT(Cache{r}, ::testing::ExitedWithCode(1), "divide");
 }
 
+TEST(CacheDeath, AtMost64Ways)
+{
+    // One fully associative set of 128 ways: a valid geometry, but
+    // beyond the one-word dirty mask per set.
+    Cache::Params p = tinyCache();
+    p.sizeBytes = 128 * 64;
+    p.ways = 2 * Cache::kMaxWays;
+    EXPECT_EXIT(Cache{p}, ::testing::ExitedWithCode(1), "at most 64 ways");
+    p.sizeBytes = 64 * 64;
+    p.ways = Cache::kMaxWays;
+    EXPECT_EQ(Cache{p}.sets(), 1u);
+}
+
 } // namespace
 } // namespace dfault::mem

@@ -142,6 +142,8 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleCase{8192, 8, 65536},   // L1-ish
                       OracleCase{32768, 4, 32768},  // low pressure
                       OracleCase{4096, 64, 65536},  // fully associative
+                      OracleCase{65536, 16, 262144}, // L2-shaped
+                      OracleCase{65536, 16, 262144, 1499},
                       OracleCase{8192, 8, 65536, 997},
                       OracleCase{1024, 1, 16384, 0, 0.5},
                       OracleCase{2048, 2, 16384, 501, 0.5},
